@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace dvx::dvapi {
 
@@ -10,6 +11,14 @@ sim::Coro<std::vector<std::uint64_t>> alltoall_words(DvContext& ctx,
   const int n = ctx.nodes();
   if (send.size() != static_cast<std::size_t>(n)) {
     throw std::invalid_argument("alltoall_words: need one word per peer");
+  }
+  if (static_cast<std::uint32_t>(n) > kCollectiveStride) {
+    // Above the stride the two sense regions overlap and back-to-back
+    // collectives would overwrite each other's words.
+    throw std::invalid_argument(
+        "alltoall_words: at most " + std::to_string(kCollectiveStride) +
+        " nodes (DV word regions of the two senses would overlap); got " +
+        std::to_string(n));
   }
   auto& st = ctx.collective_state();
   if (!st.primed) {

@@ -30,6 +30,8 @@ inline constexpr int kFirstFreeCounter = 6;
 
 /// Every rank contributes one word per peer (`send.size() == nodes`);
 /// returns the word each peer addressed to this rank (`out[i]` from rank i).
+/// Throws std::invalid_argument above kCollectiveStride (64) nodes, where
+/// the two sense regions would overlap.
 sim::Coro<std::vector<std::uint64_t>> alltoall_words(DvContext& ctx,
                                                      std::span<const std::uint64_t> send);
 

@@ -72,6 +72,11 @@ RunResult collect(sim::Engine& engine, std::deque<NodeCtx>& ctxs) {
   // are harvested here rather than self-attached.
   if (obs::Registry* m = obs::metrics()) {
     m->counter("sim.engine.events")->add(engine.events_processed());
+    // Windows open at the earliest pending event of the whole run, so their
+    // count follows the trajectory alone, like the event count. How many of
+    // them ran inline or through the worker gate depends on the thread count
+    // and is not exported.
+    m->counter("sim.engine.windows")->add(engine.windows());
     // The per-shard max queue depth depends on how nodes were laid out
     // across shards, so windowed (partitioned) runs must not export it:
     // metrics snapshots are byte-identical at any --engine-threads value.

@@ -17,17 +17,21 @@
 // Sharded execution (DESIGN.md §12): configure_sharding() splits the engine
 // into S independent shards, each owning a private heap/slab set, a local
 // clock, and a local insertion-seq counter. run() then advances in
-// conservative lookahead windows [T0, T0 + lookahead): all shards dispatch
-// their events inside the window concurrently on up to `threads` workers
-// (shard state is disjoint, so no locks), and any event one shard schedules
-// onto another is staged into a per-destination mailbox. At the window
-// barrier the mailboxes are merged in deterministic (time, source-shard,
-// stage-order) order and only then assigned destination insertion-seqs, so
-// the dispatch trajectory depends on the shard layout alone — never on the
-// worker-thread count. Cross-shard events must land at or after the window
-// end; the lookahead is derived from the minimum cross-node latency of the
-// network models (net::Interconnect::lookahead, vic::DvFabric::
-// min_remote_latency), which makes the conservative guarantee physical.
+// conservative lookahead windows [T0, T0 + lookahead): the shards with
+// events inside the window dispatch them concurrently on up to `threads`
+// workers (shard state is disjoint, so no locks), and any event one shard
+// schedules onto another is staged into a per-destination mailbox. Shard i
+// runs on worker i % threads; a window whose busy shards all belong to one
+// worker (in particular, a window with one busy shard) runs inline on the
+// coordinator thread, and only the others open the spin-then-park worker
+// gate. At window close the mailboxes are merged in deterministic (time,
+// source-shard, stage-order) order and only then assigned destination
+// insertion-seqs, so the dispatch trajectory depends on the shard layout
+// alone — never on the worker-thread count or on which thread ran a window.
+// Cross-shard events must land at or after the window end; the lookahead is
+// derived from the minimum cross-node latency of the network models
+// (net::Interconnect::lookahead, vic::DvFabric::min_remote_latency), which
+// makes the conservative guarantee physical.
 
 #include <coroutine>
 #include <cstdint>
@@ -53,10 +57,10 @@ struct ShardingConfig {
   int shards = 1;        ///< event-ordering domains (>= 1)
   int threads = 1;       ///< worker threads inside a window (>= 1)
   Duration lookahead = 0;  ///< window width; must be > 0 when windowed
-  /// Forces the windowed (lookahead + barrier) execution path even at
-  /// shards == 1. Partitioned fabric models resolve their staged operations
-  /// at window boundaries, so a cluster run at any shard count must use the
-  /// same windowed trajectory for its output to be shard-count-invariant.
+  /// Forces the lookahead-window execution path even at shards == 1.
+  /// Partitioned fabric models resolve their staged operations at window
+  /// boundaries, so a cluster run at any shard count must use the same
+  /// windowed trajectory for its output to be shard-count-invariant.
   bool windowed = false;
 };
 
@@ -103,6 +107,16 @@ class Engine {
   /// Total events dispatched across all shards (diagnostics).
   std::uint64_t events_processed() const noexcept;
 
+  /// Lookahead windows opened so far (windowed mode; 0 in the serial
+  /// engine). A function of the trajectory alone, so it is the same at any
+  /// thread count; harvested into obs metrics by the cluster runtime.
+  std::uint64_t windows() const noexcept { return window_seq_; }
+
+  /// Windows that went through the worker gate rather than running inline
+  /// on the coordinator (diagnostics only). Depends on the thread count, so
+  /// it must never be exported as a metric.
+  std::uint64_t gated_windows() const noexcept { return gated_windows_; }
+
   /// High-water mark of any shard's event queue (diagnostics; harvested
   /// into obs metrics by the cluster runtime — the engine sits below
   /// dvx_obs and cannot attach itself).
@@ -117,7 +131,7 @@ class Engine {
   void remove_auditor(check::InvariantAuditor* auditor) noexcept;
 
   /// Registers a window-close hook keyed by `owner` (one hook per owner).
-  /// Hooks run on the coordinator thread at every window barrier — after all
+  /// Hooks run on the coordinator thread at every window close — after all
   /// shards finished the window, before the engine mailbox merge — in
   /// registration order. Partitioned fabric models use them to resolve their
   /// per-shard staged operations in a canonical order; every event a hook
@@ -241,7 +255,7 @@ class Engine {
   static constexpr std::size_t kHeapPad = 3;
 
   /// A cross-shard event parked in its source shard's outbox until the
-  /// window barrier merges it into the destination heap.
+  /// window-close merge moves it into the destination heap.
   struct Staged {
     Time t;
     std::coroutine_handle<> h{};  ///< non-null: coroutine resume
@@ -272,11 +286,24 @@ class Engine {
   int resolve_shard(int shard) const;
   void dispatch_one(Shard& s);
 
+  /// One staged event's position in the window-close merge order.
+  struct MergeRef {
+    Time t;
+    int src;
+    std::size_t idx;
+  };
+
+  class WorkerPool;
+
   Time run_serial();
   Time run_sharded();
   Time next_window_floor() const noexcept;
+  /// Fills busy_ for the executing window; true when its busy shards
+  /// belong to two or more of `workers` (shard i runs on worker i % workers).
+  bool collect_busy_shards(int workers);
   void run_shard_window(int shard, Time window_end);
   void merge_mailboxes();
+  void close_window();
   void rethrow_shard_failure();
   Time finish_run();
 
@@ -285,8 +312,13 @@ class Engine {
   Time now_ = 0;             ///< engine-wide clock (window floor when sharded)
   Time window_end_ = 0;      ///< exclusive bound of the executing window
   std::uint64_t window_seq_ = 0;  ///< windows opened (sharded mode; monotone)
+  std::uint64_t gated_windows_ = 0;  ///< windows run through the worker gate
   ShardingConfig sharding_{};
   std::vector<Shard> shards_;  ///< always >= 1; shard 0 is the serial heap
+  /// Shards with an event below the executing window's end, ascending.
+  /// Capacity reserved per shard layout: refilled every window, never grown.
+  std::vector<int> busy_;
+  std::vector<MergeRef> merge_order_;  ///< reused window-close merge buffer
   std::deque<Root> roots_;     // deque: &done must stay stable
   std::mutex spawn_mutex_;     // spawn() may be called from window workers
   std::vector<check::InvariantAuditor*> auditors_;

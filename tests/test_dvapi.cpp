@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "dvapi/collectives.hpp"
@@ -246,6 +247,21 @@ TEST(DvApi, AlltoallRejectsWrongArity) {
     }
     EXPECT_TRUE(threw);
     co_await ctx.barrier();
+  });
+}
+
+TEST(DvApi, AlltoallRefusesMoreNodesThanItsWordRegionsHold) {
+  // Above 64 nodes the two sense regions overlap: the collective must
+  // refuse up front instead of letting consecutive calls corrupt each other.
+  run_nodes(128, [](dvapi::DvContext& ctx) -> Coro<void> {
+    std::vector<std::uint64_t> send(128, 1);
+    std::string error;
+    try {
+      co_await dvapi::alltoall_words(ctx, send);
+    } catch (const std::invalid_argument& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("at most 64 nodes"), std::string::npos) << error;
   });
 }
 

@@ -236,7 +236,9 @@ TEST(SchedulerEquivalence, MatchesReferenceHeapAcrossSeeds) {
 // Sharded-scheduler equivalence: the windowed sharded path (DESIGN.md §12)
 // must match a reference model of per-shard (time, insertion-seq) heaps
 // advanced in lookahead windows with the documented (time, source-shard,
-// stage-order) boundary merge — and must match it at every worker count.
+// stage-order) boundary merge — and must match it at every worker count,
+// both when every window is busy on all shards and when most windows have
+// one busy shard (run inline) and the rest several (run through the gate).
 
 constexpr int kShShards = 4;
 constexpr int kShChainsPerShard = 6;
@@ -249,8 +251,16 @@ struct ShChain {
   int shard = 0;
   int id = 0;
   int fires_left = 0;
+  bool sparse = false;
   std::vector<std::vector<int>>* observed = nullptr;  // one log per shard
 };
+
+/// A chain's next step. With `sparse`, chains off shard 0 step 1024x
+/// further (tens of lookaheads), so many windows hold work on one shard.
+sim::Duration sh_delay(sim::Xoshiro256& rng, int shard, bool sparse) {
+  const auto d = sim::ns(static_cast<double>(1 + rng.below(64)));
+  return sparse && shard != 0 ? 1024 * d : d;
+}
 
 void sh_chain_fire(ShChain* ch) {
   (*ch->observed)[static_cast<std::size_t>(ch->shard)].push_back(ch->id);
@@ -267,11 +277,12 @@ void sh_chain_fire(ShChain* ch) {
         at, [obs, dst, xid] { (*obs)[static_cast<std::size_t>(dst)].push_back(xid); },
         dst);
   }
-  const auto d = sim::ns(static_cast<double>(1 + ch->rng.below(64)));
+  const auto d = sh_delay(ch->rng, ch->shard, ch->sparse);
   ch->engine->schedule(ch->engine->now() + d, [ch] { sh_chain_fire(ch); }, ch->shard);
 }
 
 TEST(SchedulerEquivalence, ShardedPathMatchesReferenceWindowModel) {
+  for (const bool sparse : {false, true}) {
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
     // --- reference: per-shard heaps + window loop in plain code ---
     struct RefStaged {
@@ -289,17 +300,19 @@ TEST(SchedulerEquivalence, ShardedPathMatchesReferenceWindowModel) {
     for (int c = 0; c < kShShards * kShChainsPerShard; ++c) {
       rngs.emplace_back(seed * 777 + static_cast<std::uint64_t>(c));
       const int shard = c / kShChainsPerShard;
-      const auto d = sim::ns(static_cast<double>(1 + rngs.back().below(64)));
+      const auto d = sh_delay(rngs.back(), shard, sparse);
       heaps[static_cast<std::size_t>(shard)].push(
           RefEvent{d, seqs[static_cast<std::size_t>(shard)]++, c});
     }
     std::uint64_t ref_events = 0;
+    std::uint64_t ref_windows = 0;
     for (;;) {
       sim::Time t0 = -1;
       for (const auto& h : heaps) {
         if (!h.empty() && (t0 < 0 || h.top().t < t0)) t0 = h.top().t;
       }
       if (t0 < 0) break;
+      ++ref_windows;
       const sim::Time wend = t0 + kShLookahead;
       // outboxes[src][dst], staged in dispatch order per pair
       std::vector<std::vector<std::vector<RefStaged>>> outboxes(
@@ -323,7 +336,7 @@ TEST(SchedulerEquivalence, ShardedPathMatchesReferenceWindowModel) {
             auto& box = outboxes[static_cast<std::size_t>(s)][static_cast<std::size_t>(dst)];
             box.push_back(RefStaged{at, s, box.size(), xid});
           }
-          const auto d = sim::ns(static_cast<double>(1 + rng.below(64)));
+          const auto d = sh_delay(rng, s, sparse);
           heap.push(RefEvent{ev.t + d, seqs[static_cast<std::size_t>(s)]++, ev.id});
         }
       }
@@ -364,20 +377,30 @@ TEST(SchedulerEquivalence, ShardedPathMatchesReferenceWindowModel) {
         ch.shard = c / kShChainsPerShard;
         ch.id = c;
         ch.fires_left = kShFires;
+        ch.sparse = sparse;
         ch.observed = &observed;
-        const auto d = sim::ns(static_cast<double>(1 + ch.rng.below(64)));
+        const auto d = sh_delay(ch.rng, ch.shard, sparse);
         ShChain* p = &ch;
         engine.schedule(d, [p] { sh_chain_fire(p); }, ch.shard);
       }
       engine.run();
       EXPECT_EQ(engine.events_processed(), ref_events)
           << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(engine.windows(), ref_windows)
+          << "seed " << seed << " threads " << threads;
+      if (sparse && threads > 1) {
+        // Both window paths ran, most windows inline.
+        EXPECT_GT(engine.gated_windows(), 0u) << "seed " << seed;
+        EXPECT_LT(2 * engine.gated_windows(), engine.windows()) << "seed " << seed;
+      }
       for (int s = 0; s < kShShards; ++s) {
         EXPECT_EQ(observed[static_cast<std::size_t>(s)],
                   expected[static_cast<std::size_t>(s)])
-            << "seed " << seed << " threads " << threads << " shard " << s;
+            << "sparse " << sparse << " seed " << seed << " threads " << threads
+            << " shard " << s;
       }
     }
+  }
   }
 }
 
@@ -427,6 +450,60 @@ TEST(AllocationFree, EngineSteadyStateDispatch) {
   ASSERT_EQ(st.n, kAllocTotal);
   EXPECT_EQ(st.at_end, st.at_warm)
       << "Engine::run() dispatch allocated in the steady-state window";
+}
+
+// Two shards on two threads whose windows alternate between one busy shard
+// (run inline on the coordinator) and both busy (run through the worker
+// gate), with cross-shard sends through the window-close merge. Shard 0
+// ticks every 2 us and snapshots the counter; shard 1 ticks every 4 us, on
+// shard 0's even ticks, and each tick sends a one-shot onto shard 0 that
+// lands exactly at the window end.
+struct ShardedAllocState {
+  sim::Engine* engine;
+  AllocChain meter{};  // shard 0's tick count and the counter snapshots
+  int slow_ticks = 0;  // shard 1
+  int one_shots = 0;   // delivered on shard 0
+};
+const sim::Duration kAllocLookahead = sim::us(1);
+
+void alloc_fast_tick(ShardedAllocState* st) {
+  AllocChain& m = st->meter;
+  ++m.n;
+  if (m.n == kAllocWarm) m.at_warm = allocation_count();
+  if (m.n == kAllocTotal) {
+    m.at_end = allocation_count();
+    return;
+  }
+  st->engine->schedule(st->engine->now() + sim::us(2),
+                       [st] { alloc_fast_tick(st); }, 0);
+}
+
+void alloc_slow_tick(ShardedAllocState* st) {
+  if (++st->slow_ticks == kAllocTotal / 2) return;
+  st->engine->schedule(st->engine->now() + kAllocLookahead,
+                       [st] { ++st->one_shots; }, 0);
+  st->engine->schedule(st->engine->now() + sim::us(4),
+                       [st] { alloc_slow_tick(st); }, 1);
+}
+
+TEST(AllocationFree, ShardedInlineAndGatedWindows) {
+  sim::Engine engine;
+  engine.set_audit_interval(0);
+  engine.configure_sharding(
+      {.shards = 2, .threads = 2, .lookahead = kAllocLookahead});
+  ShardedAllocState st{&engine};
+  ShardedAllocState* p = &st;
+  engine.schedule(0, [p] { alloc_fast_tick(p); }, 0);
+  engine.schedule(0, [p] { alloc_slow_tick(p); }, 1);
+  engine.run();
+  ASSERT_EQ(st.meter.n, kAllocTotal);
+  ASSERT_EQ(st.slow_ticks, kAllocTotal / 2);
+  EXPECT_EQ(st.one_shots, kAllocTotal / 2 - 1);
+  // Windows at 4k us are gated (both shards), at 4k+1 and 4k+2 us inline.
+  EXPECT_EQ(engine.gated_windows(), static_cast<std::uint64_t>(kAllocTotal / 2));
+  EXPECT_GT(engine.windows(), 2 * engine.gated_windows());
+  EXPECT_EQ(st.meter.at_end, st.meter.at_warm)
+      << "inline or gated sharded windows allocated in the steady state";
 }
 
 TEST(AllocationFree, CycleSwitchStepSteadyState) {

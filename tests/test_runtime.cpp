@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dvapi/collectives.hpp"
+#include "obs/collector.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/constants.hpp"
 #include "runtime/report.hpp"
@@ -126,58 +127,92 @@ TEST(Cluster, ResolveShardingWindowsEveryPositiveLookahead) {
   EXPECT_EQ(serial.shards, 1);
 }
 
-// The tentpole contract of ISSUE 10: the virtual-time trajectory of a real
+// A small multi-rank exchange (compute, point-to-point, collectives) that
+// drives every fabric backend through the partitioned cluster path.
+Coro<void> exchange_mpi(dvx::mpi::Comm comm, runtime::NodeCtx& node) {
+  node.roi_begin();
+  const int rank = comm.rank();
+  const int peer = rank ^ 1;
+  if (peer < comm.size()) {
+    for (int i = 0; i < 4; ++i) {
+      co_await node.compute_flops(1e5 * (1 + rank % 3));
+      const std::uint64_t payload = static_cast<std::uint64_t>(rank * 100 + i);
+      if (rank < peer) {
+        co_await comm.send(peer, i, std::vector<std::uint64_t>(1, payload));
+        co_await comm.allreduce_sum(payload);
+      } else {
+        const auto got = co_await comm.recv(peer, i);
+        co_await comm.allreduce_sum(got.data.front());
+      }
+    }
+  }
+  co_await comm.barrier();
+  node.roi_end();
+}
+
+Coro<void> exchange_dv(dvx::dvapi::DvContext& ctx, runtime::NodeCtx& node) {
+  node.roi_begin();
+  for (int i = 0; i < 4; ++i) {
+    co_await node.compute_flops(1e5 * (1 + ctx.rank() % 3));
+    const int dst = (ctx.rank() + 1 + i) % ctx.nodes();
+    co_await ctx.send_fifo(dst, static_cast<std::uint64_t>(ctx.rank() * 1000 + i));
+    co_await ctx.barrier();
+  }
+  node.roi_end();
+}
+
+/// Runs one exchange program on 8 nodes at `threads` engine threads.
+runtime::RunResult run_exchange(runtime::MpiFabric fabric, bool dv, int threads) {
+  runtime::ClusterConfig cfg;
+  cfg.nodes = 8;
+  cfg.engine_threads = threads;
+  cfg.mpi_fabric = fabric;
+  runtime::Cluster cluster(cfg);
+  return dv ? cluster.run_dv(exchange_dv) : cluster.run_mpi(exchange_mpi);
+}
+
+// The partitioned-cluster contract: the virtual-time trajectory of a real
 // multi-rank program is identical at shards = 1 and shards = 4 on every
 // fabric backend. (The full byte-identity of sweeps, metrics and traces is
 // covered end-to-end by test_obs and the CI diff job; this pins the
 // per-backend RunResult equivalence at unit-test cost.)
 TEST(Cluster, ShardedTrajectoryMatchesSerialOnEveryFabric) {
-  auto mpi_program = [](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
-    node.roi_begin();
-    const int rank = comm.rank();
-    const int peer = rank ^ 1;
-    if (peer < comm.size()) {
-      for (int i = 0; i < 4; ++i) {
-        co_await node.compute_flops(1e5 * (1 + rank % 3));
-        const std::uint64_t payload = static_cast<std::uint64_t>(rank * 100 + i);
-        if (rank < peer) {
-          co_await comm.send(peer, i, std::vector<std::uint64_t>(1, payload));
-          co_await comm.allreduce_sum(payload);
-        } else {
-          const auto got = co_await comm.recv(peer, i);
-          co_await comm.allreduce_sum(got.data.front());
-        }
-      }
-    }
-    co_await comm.barrier();
-    node.roi_end();
-  };
-  auto dv_program = [](dvx::dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
-    node.roi_begin();
-    for (int i = 0; i < 4; ++i) {
-      co_await node.compute_flops(1e5 * (1 + ctx.rank() % 3));
-      const int dst = (ctx.rank() + 1 + i) % ctx.nodes();
-      co_await ctx.send_fifo(dst, static_cast<std::uint64_t>(ctx.rank() * 1000 + i));
-      co_await ctx.barrier();
-    }
-    node.roi_end();
-  };
-  auto run = [&](runtime::MpiFabric fabric, bool dv, int threads) {
-    runtime::ClusterConfig cfg;
-    cfg.nodes = 8;
-    cfg.engine_threads = threads;
-    cfg.mpi_fabric = fabric;
-    runtime::Cluster cluster(cfg);
-    return dv ? cluster.run_dv(dv_program) : cluster.run_mpi(mpi_program);
-  };
   for (const bool dv : {true, false}) {
     for (const auto fabric : {runtime::MpiFabric::kIb, runtime::MpiFabric::kTorus}) {
-      const auto serial = run(fabric, dv, 1);
-      const auto sharded = run(fabric, dv, 4);
+      const auto serial = run_exchange(fabric, dv, 1);
+      const auto sharded = run_exchange(fabric, dv, 4);
       EXPECT_EQ(serial.finished, sharded.finished)
           << (dv ? "dv" : runtime::to_string(fabric));
       EXPECT_EQ(serial.roi, sharded.roi)
           << (dv ? "dv" : runtime::to_string(fabric));
+      if (dv) break;  // run_dv ignores mpi_fabric; once is enough
+    }
+  }
+}
+
+// The engine's window count is exported as the metric sim.engine.windows,
+// so like every metric it must not depend on --engine-threads: windows open
+// at the earliest pending event of the whole run, whatever the shard layout
+// and whichever thread (coordinator inline, or workers behind the gate)
+// runs them.
+TEST(Cluster, EngineWindowCountIsTheSameAtAnyThreadCount) {
+  auto counters = [](runtime::MpiFabric fabric, bool dv, int threads) {
+    dvx::obs::Collector collector;
+    const dvx::obs::ScopedCollector scope(collector);
+    run_exchange(fabric, dv, threads);
+    return std::pair{collector.registry.counter("sim.engine.windows")->value(),
+                     collector.registry.counter("sim.engine.events")->value()};
+  };
+  for (const bool dv : {true, false}) {
+    for (const auto fabric : {runtime::MpiFabric::kIb, runtime::MpiFabric::kTorus}) {
+      const char* name = dv ? "dv" : runtime::to_string(fabric);
+      const auto one = counters(fabric, dv, 1);
+      EXPECT_GT(one.first, 0u) << name;
+      EXPECT_LE(one.first, one.second) << name;  // a window holds >= 1 event
+      for (const int threads : {2, 4}) {
+        EXPECT_EQ(counters(fabric, dv, threads), one)
+            << name << " at " << threads << " engine threads";
+      }
       if (dv) break;  // run_dv ignores mpi_fabric; once is enough
     }
   }

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -163,6 +165,125 @@ TEST(ShardedEngine, CoroutinesStayOnTheirShardAcrossThreadCounts) {
     EXPECT_TRUE(e.all_done()) << "threads " << threads;
     for (const sim::Time t : finish) EXPECT_EQ(t, sim::ns(300));
     EXPECT_EQ(e.events_processed(), 3u * 101u) << "threads " << threads;
+  }
+}
+
+// The two window paths (DESIGN.md §12.1): a window whose busy shards all
+// belong to one worker (one busy shard, in particular) runs inline on the
+// coordinator, the others go through the worker gate. Which thread runs a
+// shard must never show.
+
+constexpr int kMixShards = 4;
+const sim::Duration kMixLookahead = sim::us(1);
+using MixLog = std::vector<std::vector<std::pair<sim::Time, int>>>;
+
+/// Shard 0 ticks every 2 us, the others every 6 us, all for 180 us; every
+/// tick also sends a one-shot to the next shard just past the window end.
+/// Per 6 us cycle the windows at 0 and 1 us have every shard busy and the
+/// four after them have one. Each log is written only by events of its own
+/// shard.
+constexpr int kMixTicks = 30;  // per slow shard; shard 0 ticks 3x as often
+Coro<void> mix_ticker(Engine& eng, int shard, MixLog& logs) {
+  const sim::Duration period = shard == 0 ? sim::us(2) : sim::us(6);
+  const int ticks = shard == 0 ? 3 * kMixTicks : kMixTicks;
+  for (int k = 0; k < ticks; ++k) {
+    logs[static_cast<std::size_t>(shard)].emplace_back(eng.now(), k);
+    const int dst = (shard + 1) % kMixShards;
+    eng.schedule(
+        eng.now() + kMixLookahead + sim::ns(shard),
+        [&eng, &logs, shard, dst] {
+          logs[static_cast<std::size_t>(dst)].emplace_back(eng.now(), -1 - shard);
+        },
+        dst);
+    co_await eng.delay(period);
+  }
+}
+
+TEST(ShardedEngine, InlineAndGatedWindowsGiveOneTrajectoryAtAnyThreadCount) {
+  struct Outcome {
+    MixLog logs;
+    std::uint64_t events = 0;
+    std::uint64_t windows = 0;
+  };
+  auto run_mix = [](int threads) {
+    Engine e;
+    e.configure_sharding(
+        {.shards = kMixShards, .threads = threads, .lookahead = kMixLookahead});
+    Outcome out;
+    out.logs.resize(kMixShards);
+    for (int s = 0; s < kMixShards; ++s) {
+      e.spawn(mix_ticker(e, s, out.logs), /*start=*/0, /*shard=*/s);
+    }
+    e.run();
+    EXPECT_TRUE(e.all_done()) << "threads " << threads;
+    if (threads == 1) {
+      EXPECT_EQ(e.gated_windows(), 0u);  // no workers: every window inline
+    } else {
+      // Both paths ran: about a third of the windows went through the gate.
+      EXPECT_GT(4 * e.gated_windows(), e.windows()) << "threads " << threads;
+      EXPECT_LT(2 * e.gated_windows(), e.windows()) << "threads " << threads;
+    }
+    out.events = e.events_processed();
+    out.windows = e.windows();
+    return out;
+  };
+  const Outcome ref = run_mix(1);
+  // Every tick sends a one-shot; each coroutine also resumes once to end.
+  EXPECT_EQ(ref.events, 2u * 6u * kMixTicks + 4u);
+  for (const int threads : {2, 4}) {
+    const Outcome got = run_mix(threads);
+    EXPECT_EQ(got.logs, ref.logs) << "threads " << threads;
+    EXPECT_EQ(got.events, ref.events) << "threads " << threads;
+    EXPECT_EQ(got.windows, ref.windows) << "threads " << threads;
+  }
+}
+
+/// Runs `e` and requires it to rethrow the runtime_error saying `what`.
+void expect_run_fails_with(Engine& e, const std::string& what) {
+  try {
+    e.run();
+    ADD_FAILURE() << "run() returned; expected \"" << what << "\"";
+  } catch (const std::runtime_error& err) {
+    EXPECT_EQ(err.what(), what);
+  }
+}
+
+TEST(ShardedEngine, FailureInAnInlineWindowSurfacesFromRun) {
+  for (const int threads : {1, 2, 4}) {
+    Engine e;
+    e.configure_sharding(
+        {.shards = kMixShards, .threads = threads, .lookahead = kMixLookahead});
+    // t = 0: every shard busy. t = 5 us: only shard 2, which throws. The
+    // event at 9 us would run if the failure were lost.
+    for (int s = 0; s < kMixShards; ++s) e.schedule(0, [] {}, s);
+    e.schedule(sim::us(5), [] { throw std::runtime_error("inline boom"); }, 2);
+    bool ran_on = false;
+    e.schedule(sim::us(9), [&ran_on] { ran_on = true; }, 0);
+    expect_run_fails_with(e, "inline boom");
+    EXPECT_FALSE(ran_on) << "threads " << threads;
+    // Only the t = 0 window went through the gate.
+    EXPECT_EQ(e.gated_windows(), threads > 1 ? 1u : 0u) << "threads " << threads;
+  }
+}
+
+TEST(ShardedEngine, FailureInAGatedWindowSurfacesFromRun) {
+  // run() returning at all shows the worker threads were stopped and
+  // joined; a lost wake-up or a worker stuck on the gate would hang here.
+  for (const int threads : {2, 4}) {
+    Engine e;
+    e.configure_sharding(
+        {.shards = kMixShards, .threads = threads, .lookahead = kMixLookahead});
+    // t = 5 us: every shard busy with a few events; the last shard throws.
+    for (int s = 0; s < kMixShards; ++s) {
+      for (int k = 0; k < 8; ++k) e.schedule(sim::us(5) + sim::ns(k), [] {}, s);
+    }
+    e.schedule(sim::us(5) + sim::ns(3),
+               [] { throw std::runtime_error("gated boom"); }, kMixShards - 1);
+    bool ran_on = false;
+    e.schedule(sim::us(9), [&ran_on] { ran_on = true; }, 0);
+    expect_run_fails_with(e, "gated boom");
+    EXPECT_FALSE(ran_on) << "threads " << threads;
+    EXPECT_EQ(e.gated_windows(), 1u) << "threads " << threads;
   }
 }
 
