@@ -56,7 +56,7 @@ MsgTiming Fabric::send_message(int src, int dst, std::int64_t bytes, sim::Time r
     return MsgTiming{done, done};
   }
 
-  // Everything below mutates the shared link/NIC ledgers: windowed runs
+  // Everything below mutates the shared link/NIC ledgers: cluster runs
   // reach here only from the canonical window-close replay.
   DVX_SHARD_GUARDED("ib.Fabric", -1);
 

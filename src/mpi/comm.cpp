@@ -19,7 +19,12 @@ MpiWorld::MpiWorld(sim::Engine& engine, std::unique_ptr<net::Interconnect> fabri
   if (ranks <= 0 || ranks > fabric_->nodes()) {
     throw std::invalid_argument("MpiWorld: rank count must fit the fabric");
   }
-  endpoints_.resize(static_cast<std::size_t>(ranks));
+  const auto n = static_cast<std::size_t>(ranks);
+  endpoints_.resize(n);
+  node_to_shard_.assign(n, 0);
+  staged_.resize(n);
+  stage_seq_.assign(n, 0);
+  engine_.add_window_hook(this, [this] { resolve_window(); });
   if (obs::Registry* m = obs::metrics()) {
     obs_msg_bytes_ = m->histogram("mpi.msg.bytes");
     obs_eager_msgs_ = m->counter("mpi.msgs", {{"protocol", "eager"}});
@@ -27,25 +32,17 @@ MpiWorld::MpiWorld(sim::Engine& engine, std::unique_ptr<net::Interconnect> fabri
   }
 }
 
-MpiWorld::~MpiWorld() {
-  if (windowed_) engine_.remove_window_hook(this);
-}
+MpiWorld::~MpiWorld() { engine_.remove_window_hook(this); }
 
 // dvx-analyze: allow(shard-partitioned) -- config-time, before any rank runs
 void MpiWorld::configure_partition(std::vector<int> node_to_shard) {
   DVX_CHECK(static_cast<int>(node_to_shard.size()) == ranks_)
       << "node->shard map must cover every rank";
-  DVX_CHECK(engine_.sharding().windowed)
-      << "MpiWorld::configure_partition requires a windowed engine";
-  int shards = 0;
-  for (int s : node_to_shard) shards = std::max(shards, s + 1);
-  DVX_CHECK(shards >= 1 && shards <= engine_.shards())
-      << "node->shard map names a shard the engine does not have";
-  windowed_ = true;
+  for (int s : node_to_shard) {
+    DVX_CHECK(s >= 0 && s < engine_.shards())
+        << "node->shard map names a shard the engine does not have";
+  }
   node_to_shard_ = std::move(node_to_shard);
-  staged_.assign(static_cast<std::size_t>(engine_.shards()), {});
-  stage_seq_.assign(static_cast<std::size_t>(ranks_), 0);
-  engine_.add_window_hook(this, [this] { resolve_window(); });
 }
 
 void MpiWorld::account(const WireOp& op, const net::MsgTiming& t) {
@@ -54,22 +51,18 @@ void MpiWorld::account(const WireOp& op, const net::MsgTiming& t) {
     (op.eager ? obs_eager_msgs_ : obs_rendezvous_msgs_)->inc();
   }
   if (op.traced && tracer_ != nullptr) {
-    // The message line carries the ORIGINAL send time: in windowed mode the
-    // engine clock at resolution sits at the window floor, not at op.ready.
+    // The message line carries the ORIGINAL send time: the engine clock at
+    // resolution sits at the window floor, not at op.ready.
     tracer_->record_message(op.src, op.dst, op.ready, t.last_arrival, op.bytes,
                             op.tag);
   }
 }
 
 void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)> k) {
-  if (!windowed_) {
-    const net::MsgTiming t = fabric_->send_message(op.src, op.dst, op.bytes, op.ready);
-    account(op, t);
-    if (k) k(t);
-    return;
-  }
   const int cur = sim::Engine::current_shard();
-  auto& box = staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)];
+  DVX_CHECK(cur < ranks_) << "engine has more shards than the world has ranks";
+  auto& ledger = staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)];
+  const sim::Time call = engine_.now();
   const std::uint64_t seq = stage_seq_[static_cast<std::size_t>(op.src)]++;
   if (op.src == op.dst) {
     // Loopback rides only local state (an atomic byte tally + stateless
@@ -81,46 +74,50 @@ void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)>
     if (op.acct_bytes >= 0 || op.traced) {
       StagedOp staged;
       staged.op = op;
+      staged.call = call;
       staged.seq = seq;
       staged.loopback = true;
       staged.timing = t;
-      box.push_back(std::move(staged));
+      ledger.push_back(std::move(staged));
     }
     if (k) k(t);
     return;
   }
   StagedOp staged;
   staged.op = std::move(op);
+  staged.call = call;
   staged.seq = seq;
   staged.k = std::move(k);
-  box.push_back(std::move(staged));
+  ledger.push_back(std::move(staged));
 }
 
 void MpiWorld::resolve_window() {
   // Window-close resolution (coordinator thread): replay every staged wire
-  // transfer against the shared interconnect in canonical (ready, src,
-  // per-src seq) order — a pure function of the window's simulation content,
-  // identical at every shard layout and worker count. Continuations only
-  // schedule protocol events onto explicit destination shards (at physical
-  // times >= the window end) and never re-enter fabric_send.
-  std::vector<StagedOp> batch;
-  for (auto& box : staged_) {
-    std::move(box.begin(), box.end(), std::back_inserter(batch));
-    box.clear();
+  // transfer against the shared interconnect in canonical (call time, src,
+  // per-src seq) order. As for vic::DvFabric, consecutive windows' replays
+  // concatenate to one global sort, identical at every window width, shard
+  // layout and worker count. Continuations only schedule protocol events
+  // onto explicit destination shards (at physical times >= the window end)
+  // and never re-enter fabric_send.
+  const auto shards = static_cast<std::size_t>(std::min(engine_.shards(), ranks_));
+  for (std::size_t s = 0; s < shards; ++s) {
+    std::move(staged_[s].begin(), staged_[s].end(), std::back_inserter(batch_));
+    staged_[s].clear();
   }
-  if (batch.empty()) return;
-  std::sort(batch.begin(), batch.end(), [](const StagedOp& a, const StagedOp& b) {
-    if (a.op.ready != b.op.ready) return a.op.ready < b.op.ready;
+  if (batch_.empty()) return;
+  std::sort(batch_.begin(), batch_.end(), [](const StagedOp& a, const StagedOp& b) {
+    if (a.call != b.call) return a.call < b.call;
     if (a.op.src != b.op.src) return a.op.src < b.op.src;
     return a.seq < b.seq;
   });
-  for (StagedOp& s : batch) {
+  for (StagedOp& s : batch_) {
     const net::MsgTiming t =
         s.loopback ? s.timing
                    : fabric_->send_message(s.op.src, s.op.dst, s.op.bytes, s.op.ready);
     account(s.op, t);
     if (s.k) s.k(t);
   }
+  batch_.clear();
 }
 
 int Comm::size() const noexcept { return world_->size(); }

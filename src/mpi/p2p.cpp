@@ -136,8 +136,13 @@ void MpiWorld::grant_rts(int dst, const Rts& rts, const Request& recv_op) {
                          /*traced=*/tracer_ != nullptr, pending->tag};
           fabric_send(std::move(payload),
                       [this, pending, recv_op](const net::MsgTiming& t) {
-                        // The sender unblocks once the payload drained its NIC.
-                        complete(pending->op, t.last_arrival);
+                        // The sender unblocks once the payload drained its
+                        // NIC: an event on its own shard, so the window close
+                        // that resolved the transfer stays invisible to it.
+                        engine_.schedule(
+                            t.last_arrival,
+                            [this, op = pending->op] { complete(op, engine_.now()); },
+                            shard_of(pending->src));
                         Message msg{pending->src, pending->tag,
                                     std::move(pending->data)};
                         engine_.schedule(

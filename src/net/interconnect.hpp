@@ -12,16 +12,15 @@
 //     the caller (mpi::MpiWorld, a workload) owns the event scheduling.
 //   * Determinism: the result may depend only on constructor parameters and
 //     the sequence of prior send_message calls. Implementations must not
-//     read wall-clock time or unseeded entropy (tools/lint_determinism.py
-//     enforces the ban), so the same call sequence yields byte-identical
-//     timings on every host.
+//     read wall-clock time or unseeded entropy (the dvx_analyze
+//     `determinism` rule enforces the ban), so the same call sequence
+//     yields byte-identical timings on every host.
 //   * The DES guarantees nondecreasing `ready` values per source; models
-//     may rely on that the way ib::Fabric's link bank does. In windowed
-//     partition mode (DESIGN.md §15) mpi::MpiWorld stages wire transfers
-//     and replays them at window closes sorted by (ready, src, seq); since
-//     every event left pending after window W is at or past W's end, ready
-//     values stay nondecreasing across batches too, and the property holds
-//     globally. Loopback (src == dst) calls are the one exception: they run
+//     may rely on that the way ib::Fabric's link bank does. mpi::MpiWorld
+//     (DESIGN.md §15) stages wire transfers and replays them at window
+//     closes sorted by (call time, src, seq); a transfer is ready at its
+//     call time, and every call time of window W is below W's end and at or
+//     past the previous window's end, so the property holds globally. Loopback (src == dst) calls are the one exception: they run
 //     concurrently on the calling shard mid-window, so that branch may
 //     touch only thread-safe state (see ib/torus byte tallies).
 //

@@ -1,6 +1,7 @@
 #include "runtime/cluster.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <deque>
 #include <iostream>
@@ -19,6 +20,7 @@ namespace dvx::runtime {
 
 namespace {
 int g_default_engine_threads = 0;  // 0 = fall back to env / 1
+std::atomic<int> g_lookahead_divisor{1};
 }  // namespace
 
 int default_engine_threads() {
@@ -36,6 +38,10 @@ int default_engine_threads() {
 
 void set_default_engine_threads(int threads) {
   g_default_engine_threads = threads > 0 ? threads : 0;
+}
+
+void set_lookahead_divisor_for_test(int divisor) {
+  g_lookahead_divisor.store(std::max(divisor, 1), std::memory_order_relaxed);
 }
 
 const char* to_string(MpiFabric fabric) noexcept {
@@ -77,13 +83,6 @@ RunResult collect(sim::Engine& engine, std::deque<NodeCtx>& ctxs) {
     // them ran inline or through the worker gate depends on the thread count
     // and is not exported.
     m->counter("sim.engine.windows")->add(engine.windows());
-    // The per-shard max queue depth depends on how nodes were laid out
-    // across shards, so windowed (partitioned) runs must not export it:
-    // metrics snapshots are byte-identical at any --engine-threads value.
-    if (!engine.sharding().windowed) {
-      m->gauge("sim.engine.queue_depth")
-          ->sample(static_cast<double>(engine.max_queue_depth()));
-    }
     // The conservative window bound, for sanity-checking sharded runs. The
     // thread count is deliberately NOT exported, for the same reason.
     m->gauge("sim.engine.lookahead_ps")
@@ -126,8 +125,7 @@ void report_shard_plan(const ClusterConfig& config, const ShardPlan& plan) {
   std::ostringstream os;
   os << "dvx: cluster sharding: nodes=" << config.nodes
      << " shards=" << plan.shards << " threads=" << plan.threads
-     << " lookahead_ps=" << plan.lookahead
-     << (plan.windowed ? " windowed" : " serial");
+     << " lookahead_ps=" << plan.lookahead;
   static std::mutex mu;
   static std::set<std::string>* seen = new std::set<std::string>();
   const std::lock_guard<std::mutex> lock(mu);
@@ -139,10 +137,8 @@ ShardPlan apply_sharding(sim::Engine& engine, const ClusterConfig& config,
                          sim::Duration lookahead) {
   const ShardPlan plan = Cluster::resolve_sharding(config, lookahead);
   report_shard_plan(config, plan);
-  engine.configure_sharding({.shards = plan.shards,
-                             .threads = plan.threads,
-                             .lookahead = plan.lookahead,
-                             .windowed = plan.windowed});
+  engine.configure_sharding(
+      {.shards = plan.shards, .threads = plan.threads, .lookahead = plan.lookahead});
   return plan;
 }
 
@@ -155,10 +151,8 @@ ShardPlan Cluster::resolve_sharding(const ClusterConfig& config,
       config.engine_threads > 0 ? config.engine_threads : default_engine_threads();
   plan.lookahead = lookahead;
   if (lookahead > 0) {
-    // Windowed even at one shard: every layout then shares the same
-    // window-close resolution semantics, which is what makes shards=1 and
-    // shards=N trajectories byte-identical (DESIGN.md §15).
-    plan.windowed = true;
+    const int divisor = g_lookahead_divisor.load(std::memory_order_relaxed);
+    plan.lookahead = std::max<sim::Duration>(1, lookahead / divisor);
     plan.shards = std::min(plan.threads, config.nodes);
   }
   return plan;
@@ -182,7 +176,6 @@ RunResult Cluster::run_dv(const DvProgram& program) {
   sim::Engine engine;
   vic::DvFabric fabric(engine, config_.nodes, config_.dv);
   const ShardPlan plan = apply_sharding(engine, config_, fabric.min_remote_latency());
-  if (plan.windowed) fabric.configure_partition(plan.shards);
   const std::vector<int> node_shard = shard_map(config_.nodes, plan.shards);
   CostModel cost(config_.cost);
   std::deque<dvapi::DvContext> dv_ctxs;
@@ -223,7 +216,7 @@ RunResult Cluster::run_mpi(const MpiProgram& program) {
   const std::vector<int> node_shard = shard_map(config_.nodes, plan.shards);
   mpi::MpiWorld world(engine, std::move(fabric), config_.nodes, config_.mpi,
                       capture.tracer_or_null());
-  if (plan.windowed) world.configure_partition(node_shard);
+  world.configure_partition(node_shard);
   CostModel cost(config_.cost);
   std::deque<NodeCtx> node_ctxs;
   for (int r = 0; r < config_.nodes; ++r) {

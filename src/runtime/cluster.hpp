@@ -54,7 +54,6 @@ struct ShardPlan {
   int shards = 1;
   int threads = 1;
   sim::Duration lookahead = 0;
-  bool windowed = false;
 };
 
 /// Process-wide default for ClusterConfig::engine_threads == 0: the
@@ -63,6 +62,11 @@ struct ShardPlan {
 int default_engine_threads();
 /// Overrides the process default (<= 0 restores env/1 resolution).
 void set_default_engine_threads(int threads);
+
+/// Test hook: divides the lookahead of every cluster run by `divisor`
+/// (1 restores it). Simulated results must not change with the window width;
+/// the lookahead-shrink test checks that. Never call outside tests.
+void set_lookahead_divisor_for_test(int divisor);
 
 struct RunResult {
   sim::Time finished;       ///< virtual time when the last rank finished
@@ -90,9 +94,10 @@ class Cluster {
 
   /// The execution plan a cluster with this config uses for a fabric with
   /// the given conservative lookahead bound: threads from the config (else
-  /// the process default), shards = min(threads, nodes), windowed whenever
-  /// the bound is positive. Cluster runs are windowed even at shards == 1,
-  /// so every shard count shares one resolution semantics and sweeps are
+  /// the process default), shards = min(threads, nodes) when the bound is
+  /// positive, else one serial shard. The engine windows whenever the bound
+  /// is positive, at one shard too, and the fabric models resolve staged
+  /// work identically at any window width and shard count, so sweeps are
   /// byte-identical across --engine-threads values (DESIGN.md §15).
   static ShardPlan resolve_sharding(const ClusterConfig& config,
                                     sim::Duration lookahead);

@@ -159,8 +159,9 @@ Time Engine::now() const noexcept {
 void Engine::configure_sharding(const ShardingConfig& config) {
   DVX_CHECK(config.shards >= 1) << "sharding needs at least one shard";
   DVX_CHECK(config.threads >= 1) << "sharding needs at least one thread";
-  DVX_CHECK((config.shards == 1 && !config.windowed) || config.lookahead > 0)
-      << "sharded/windowed execution needs a positive conservative lookahead";
+  DVX_CHECK(config.shards == 1 || config.lookahead > 0)
+      << "sharded execution needs a positive conservative lookahead";
+  DVX_CHECK(config.lookahead >= 0) << "negative lookahead";
   for (const auto& s : shards_) {
     DVX_CHECK(s.heap.size() <= kHeapPad)
         << "cannot reconfigure sharding with events pending";
@@ -216,7 +217,6 @@ void Engine::heap_push(Shard& s, Time t, std::uint64_t key) {
     i = parent;
   }
   heap[i + kHeapPad] = HeapEntry{t, key};
-  s.max_depth = std::max(s.max_depth, heap.size() - kHeapPad);
 }
 
 Engine::HeapEntry Engine::heap_pop(Shard& s) {
@@ -277,20 +277,39 @@ Engine::HeapEntry Engine::heap_pop(Shard& s) {
   return top;
 }
 
-std::uint64_t Engine::make_key(Shard& s, bool callback, std::uint32_t slot) {
-  // Both packed fields are guarded here, at the single point where the key
-  // is assembled: a slot above kSlotMask or a seq at kMaxSeq would silently
-  // corrupt the (time, insertion-seq) comparison order.
+std::uint64_t Engine::make_key(Shard& s, std::uint64_t ordinal, bool callback,
+                               std::uint32_t slot) {
+  // Every packed field is guarded here, at the single point where the key
+  // is assembled: a slot above kSlotMask, or a seq or ordinal at kMaxSeq,
+  // would silently corrupt the (time, class, seq) comparison order.
   DVX_CHECK(slot <= kSlotMask)
       << "event slot " << slot << " overflows the " << kSlotBits
       << "-bit key field";
-  DVX_CHECK(s.next_seq < kMaxSeq) << "event sequence space exhausted";
-  const std::uint64_t seq = s.next_seq++;
-  return (seq << kKeyShift) | (callback ? kCallbackBit : 0) | slot;
+  std::uint64_t cls_seq;
+  if (ordinal == kNoOrdinal) {
+    DVX_CHECK(s.next_seq < kMaxSeq) << "event sequence space exhausted";
+    cls_seq = kDispatchClass | (s.next_seq++ << kKeyShift);
+  } else {
+    DVX_CHECK(ordinal < kMaxSeq) << "resolution ordinal space exhausted";
+    cls_seq = ordinal << kKeyShift;
+  }
+  return cls_seq | (callback ? kCallbackBit : 0) | slot;
 }
 
-void Engine::push_event(Shard& s, Time t, bool callback,
-                        std::coroutine_handle<> h, std::function<void()> fn) {
+std::uint64_t Engine::take_ordinal() {
+  DVX_CHECK(!in_window())
+      << "resolution ordinals are drawn at window close, not inside a window";
+  DVX_CHECK(next_ordinal_ < kMaxSeq) << "resolution ordinal space exhausted";
+  return next_ordinal_++;
+}
+
+bool Engine::in_window() const noexcept {
+  return sharding_.lookahead > 0 && tls_engine == this && tls_shard >= 0;
+}
+
+std::uint32_t Engine::push_event(Shard& s, Time t, std::uint64_t ordinal,
+                                 bool callback, std::coroutine_handle<> h,
+                                 std::function<void()>&& fn) {
   std::uint32_t slot;
   if (!callback) {
     if (!s.handle_free.empty()) {
@@ -313,10 +332,20 @@ void Engine::push_event(Shard& s, Time t, bool callback,
       s.fn_slab.push_back(std::move(fn));
     }
   }
-  heap_push(s, t, make_key(s, callback, slot));
+  heap_push(s, t, make_key(s, ordinal, callback, slot));
+  return slot;
 }
 
 void Engine::schedule_handle(Time t, std::coroutine_handle<> h, int shard) {
+  schedule_event(t, h, {}, shard);
+}
+
+void Engine::schedule(Time t, std::function<void()> fn, int shard) {
+  schedule_event(t, {}, std::move(fn), shard);
+}
+
+void Engine::schedule_event(Time t, std::coroutine_handle<> h,
+                            std::function<void()>&& fn, int shard) {
   const int dst = resolve_shard(shard);
   const int cur = (tls_engine == this) ? tls_shard : -1;
   if (cur >= 0 && dst != cur) {
@@ -329,31 +358,35 @@ void Engine::schedule_handle(Time t, std::coroutine_handle<> h, int shard) {
         << " window_end=" << window_end_ << " (lookahead too large?)";
     shards_[static_cast<std::size_t>(cur)]
         .outbox[static_cast<std::size_t>(dst)]
-        .push_back(Staged{t, h, {}});
+        .push_back(Staged{t, h, std::move(fn)});
     return;
   }
   Shard& s = shards_[static_cast<std::size_t>(dst)];
   DVX_CHECK(t >= s.now) << "cannot schedule into the past: t=" << t
                         << " now=" << s.now;
-  push_event(s, t, /*callback=*/false, h, {});
+  // A window-close hook keys what it schedules by a fresh resolution ordinal.
+  push_event(s, t, in_hooks_ ? take_ordinal() : kNoOrdinal, /*callback=*/!h, h,
+             std::move(fn));
 }
 
-void Engine::schedule(Time t, std::function<void()> fn, int shard) {
+Engine::WakeRef Engine::schedule_wake(Time t, std::uint64_t ordinal,
+                                      std::coroutine_handle<> h, int shard) {
   const int dst = resolve_shard(shard);
   const int cur = (tls_engine == this) ? tls_shard : -1;
-  if (cur >= 0 && dst != cur) {
-    DVX_CHECK(t >= window_end_)
-        << "cross-shard event violates the lookahead window: t=" << t
-        << " window_end=" << window_end_ << " (lookahead too large?)";
-    shards_[static_cast<std::size_t>(cur)]
-        .outbox[static_cast<std::size_t>(dst)]
-        .push_back(Staged{t, {}, std::move(fn)});
-    return;
-  }
+  DVX_CHECK(cur < 0 || dst == cur)
+      << "a wake is scheduled on its own shard or from a window hook";
   Shard& s = shards_[static_cast<std::size_t>(dst)];
-  DVX_CHECK(t >= s.now) << "cannot schedule into the past: t=" << t
+  DVX_CHECK(t >= s.now) << "cannot schedule a wake into the past: t=" << t
                         << " now=" << s.now;
-  push_event(s, t, /*callback=*/true, {}, std::move(fn));
+  return WakeRef{dst, push_event(s, t, ordinal, /*callback=*/false, h, {})};
+}
+
+void Engine::cancel_wake(WakeRef& w) noexcept {
+  if (!w.armed()) return;
+  // The heap entry stays; dispatch_one drops it when it surfaces and only
+  // then frees the slot, so the slot cannot be reused before that.
+  shards_[static_cast<std::size_t>(w.shard)].handle_slab[w.slot] = {};
+  w = {};
 }
 
 void Engine::add_window_hook(const void* owner, std::function<void()> hook) {
@@ -385,6 +418,8 @@ void Engine::run_audits() {
     DVX_CHECK_SOON(s.next_seq < kMaxSeq)
         << "insertion-seq counter left the representable range";
   }
+  DVX_CHECK_SOON(next_ordinal_ < kMaxSeq)
+      << "resolution ordinal counter left the representable range";
   if (auditors_.empty()) return;
   ++audits_run_;
   for (auto* a : auditors_) a->audit(now_);
@@ -394,7 +429,7 @@ void Engine::set_next_seq_for_test(std::uint64_t seq, int shard) {
   shards_.at(static_cast<std::size_t>(shard)).next_seq = seq;
 }
 
-void Engine::dispatch_one(Shard& s) {
+bool Engine::dispatch_one(Shard& s) {
 #if defined(__GNUC__) || defined(__clang__)
   {
     // Start the payload fetch before the sift-down: the slab slot of the
@@ -410,6 +445,11 @@ void Engine::dispatch_one(Shard& s) {
   }
 #endif
   const HeapEntry ev = heap_pop(s);
+  const auto slot = static_cast<std::uint32_t>(ev.key & kSlotMask);
+  if ((ev.key & kCallbackBit) == 0 && !s.handle_slab[slot]) {
+    s.handle_free.push_back(slot);  // a cancelled wake
+    return false;
+  }
   // Event-time monotonicity: the queue must never yield an event behind
   // the clock (would reorder causally dependent wake-ups).
   DVX_CHECK(ev.t >= s.now) << "non-monotonic event: t=" << ev.t
@@ -419,7 +459,6 @@ void Engine::dispatch_one(Shard& s) {
   check::context().sim_time_ps = ev.t;
 #endif
   ++s.events;
-  const auto slot = static_cast<std::uint32_t>(ev.key & kSlotMask);
   if ((ev.key & kCallbackBit) == 0) {
     // Free the slot before resuming: the resumed coroutine may schedule
     // again and should find its own slot first on the free list.
@@ -436,11 +475,14 @@ void Engine::dispatch_one(Shard& s) {
     s.fn_free.push_back(slot);
     fn();
   }
+  return true;
 }
 
 Time Engine::run() {
-  return (shards_.size() == 1 && !sharding_.windowed) ? run_serial()
-                                                      : run_sharded();
+  DVX_CHECK(window_hooks_.empty() || sharding_.lookahead > 0)
+      << "window hooks need a windowed engine (a positive lookahead)";
+  in_hooks_ = false;  // a hook that threw out of the last run left it set
+  return sharding_.lookahead > 0 ? run_sharded() : run_serial();
 }
 
 Time Engine::run_serial() {
@@ -457,7 +499,7 @@ Time Engine::run_serial() {
     }
   } reset;
   while (s.heap.size() > kHeapPad) {
-    dispatch_one(s);
+    if (!dispatch_one(s)) continue;
     now_ = s.now;
     if (audit_interval_ != 0 && s.events % audit_interval_ == 0) {
       run_audits();
@@ -552,9 +594,9 @@ void Engine::merge_mailboxes() {
       DVX_CHECK(e.t >= d.now)
           << "merged cross-shard event behind the destination clock";
       if (e.h) {
-        push_event(d, e.t, /*callback=*/false, e.h, {});
+        push_event(d, e.t, kNoOrdinal, /*callback=*/false, e.h, {});
       } else {
-        push_event(d, e.t, /*callback=*/true, {}, std::move(e.fn));
+        push_event(d, e.t, kNoOrdinal, /*callback=*/true, {}, std::move(e.fn));
       }
     }
     for (std::size_t src = 0; src < n; ++src) {
@@ -564,8 +606,6 @@ void Engine::merge_mailboxes() {
 }
 
 Time Engine::run_sharded() {
-  DVX_CHECK(sharding_.lookahead > 0)
-      << "sharded engine needs a positive lookahead";
   const int workers = std::max(1, std::min(sharding_.threads, shards()));
   WorkerPool pool(*this, workers);  // no threads at workers == 1
   for (;;) {
@@ -595,7 +635,9 @@ void Engine::close_window() {
   // Window hooks run in registration order on this (coordinator) thread,
   // outside any shard context: fabric models resolve their staged
   // cross-shard operations here in a canonical, layout-invariant order.
+  in_hooks_ = true;
   for (auto& [owner, hook] : window_hooks_) hook();
+  in_hooks_ = false;
   merge_mailboxes();
   if (audit_interval_ != 0) {
     const std::uint64_t total = events_processed();
@@ -613,6 +655,7 @@ Time Engine::finish_run() {
     // tie-break counter rewinds and kMaxSeq bounds a busy period, not a run.
     s.next_seq = 0;
   }
+  next_ordinal_ = 0;
   last_audit_events_ = events_processed();
   run_audits();  // drain-time sweep: short runs get audited too
   // Surface failures from simulated processes to the caller (tests rely on it).
@@ -628,12 +671,6 @@ std::uint64_t Engine::events_processed() const noexcept {
   std::uint64_t total = 0;
   for (const auto& s : shards_) total += s.events;
   return total;
-}
-
-std::size_t Engine::max_queue_depth() const noexcept {
-  std::size_t depth = 0;
-  for (const auto& s : shards_) depth = std::max(depth, s.max_depth);
-  return depth;
 }
 
 bool Engine::all_done() const noexcept {

@@ -32,6 +32,12 @@
 // derived from the minimum cross-node latency of the network models
 // (net::Interconnect::lookahead, vic::DvFabric::min_remote_latency), which
 // makes the conservative guarantee physical.
+//
+// Window-close hooks (DESIGN.md §15.1) apply the fabric models' staged
+// effects; an event a hook schedules at t fires before the dispatch-scheduled
+// events at t, ordered by a global resolution ordinal (take_ordinal()), so
+// where a window closed never shows. schedule_wake() gives a waiter one
+// re-armable wake keyed by the ordinal of the effect that satisfies it.
 
 #include <coroutine>
 #include <cstdint>
@@ -49,19 +55,15 @@ namespace dvx::sim {
 
 /// How Engine::run() executes: `shards` independent event-ordering domains
 /// advanced in conservative `lookahead` windows by up to `threads` workers.
-/// The dispatch trajectory (and therefore every simulation output) is a
+/// The engine windows whenever a lookahead is set, at one shard too. The
+/// dispatch trajectory (and therefore every simulation output) is a
 /// function of `shards` and `lookahead` only; `threads` is pure execution
 /// parallelism and never changes results. The default (1/1/0) is the
-/// classic single-heap serial engine.
+/// classic single-heap serial engine, which cannot run window hooks.
 struct ShardingConfig {
   int shards = 1;        ///< event-ordering domains (>= 1)
   int threads = 1;       ///< worker threads inside a window (>= 1)
-  Duration lookahead = 0;  ///< window width; must be > 0 when windowed
-  /// Forces the lookahead-window execution path even at shards == 1.
-  /// Partitioned fabric models resolve their staged operations at window
-  /// boundaries, so a cluster run at any shard count must use the same
-  /// windowed trajectory for its output to be shard-count-invariant.
-  bool windowed = false;
+  Duration lookahead = 0;  ///< window width; > 0 windows, required at shards > 1
 };
 
 class Engine {
@@ -107,20 +109,15 @@ class Engine {
   /// Total events dispatched across all shards (diagnostics).
   std::uint64_t events_processed() const noexcept;
 
-  /// Lookahead windows opened so far (windowed mode; 0 in the serial
-  /// engine). A function of the trajectory alone, so it is the same at any
-  /// thread count; harvested into obs metrics by the cluster runtime.
+  /// Lookahead windows opened so far (0 in the serial engine). A function
+  /// of the trajectory alone, so it is the same at any thread count;
+  /// harvested into obs metrics by the cluster runtime.
   std::uint64_t windows() const noexcept { return window_seq_; }
 
   /// Windows that went through the worker gate rather than running inline
   /// on the coordinator (diagnostics only). Depends on the thread count, so
   /// it must never be exported as a metric.
   std::uint64_t gated_windows() const noexcept { return gated_windows_; }
-
-  /// High-water mark of any shard's event queue (diagnostics; harvested
-  /// into obs metrics by the cluster runtime — the engine sits below
-  /// dvx_obs and cannot attach itself).
-  std::size_t max_queue_depth() const noexcept;
 
   /// Registers an invariant auditor; audit() runs every audit_interval()
   /// dispatched events (at window boundaries in sharded mode) and once when
@@ -135,8 +132,9 @@ class Engine {
   /// shards finished the window, before the engine mailbox merge — in
   /// registration order. Partitioned fabric models use them to resolve their
   /// per-shard staged operations in a canonical order; every event a hook
-  /// schedules must land at or after the closing window's end. Only
-  /// meaningful in windowed mode (serial runs never invoke hooks).
+  /// schedules must land at or after the closing window's end, and fires
+  /// before the dispatch-scheduled events of its time (see the file
+  /// comment). run() refuses an engine with hooks but no lookahead.
   void add_window_hook(const void* owner, std::function<void()> hook);
   /// Unregisters; no-op when the owner never added a hook.
   void remove_window_hook(const void* owner) noexcept;
@@ -144,6 +142,38 @@ class Engine {
   /// Exclusive upper bound of the window being closed (valid inside window
   /// hooks); hooks use it to clamp resolution-scheduled times.
   Time window_end() const noexcept { return window_end_; }
+
+  /// Ordinal argument of schedule_wake() for a wake with no resolved effect
+  /// behind it: the wake then takes a dispatch insertion seq.
+  static constexpr std::uint64_t kNoOrdinal = ~std::uint64_t{0};
+
+  /// Draws the next global resolution ordinal. The order in which hooks
+  /// apply staged effects is canonical, so ordinals drawn there name an
+  /// effect independently of where windows closed. Drawing inside a window
+  /// (where shards run concurrently) is refused; the serial engine allows it.
+  std::uint64_t take_ordinal();
+
+  /// True while the calling thread dispatches a window of this engine.
+  bool in_window() const noexcept;
+
+  /// A coroutine resume that its owner may cancel until it fires; a
+  /// default-constructed one is not armed.
+  struct WakeRef {
+    int shard = -1;
+    std::uint32_t slot = 0;
+    bool armed() const noexcept { return shard >= 0; }
+  };
+  /// Schedules `h` at time t on `shard` (-1 = the scheduling shard), keyed
+  /// by `ordinal` like a hook event, or by a dispatch seq for kNoOrdinal.
+  /// From inside a window only the executing shard may be named.
+  WakeRef schedule_wake(Time t, std::uint64_t ordinal, std::coroutine_handle<> h,
+                        int shard = -1);
+  /// Cancels a wake that has not fired and disarms `w` (a no-op when it is
+  /// not armed): the wake is dropped without being dispatched, counted or
+  /// moving a clock. Call from the wake's shard or a window hook. A fired
+  /// wake may only be cancelled by its own coroutine before that schedules
+  /// anything (its slot is then free and empty).
+  void cancel_wake(WakeRef& w) noexcept;
 
   /// Events between automatic audit sweeps; 0 disables the cadence (the
   /// drain-time sweep still runs). Defaults to check::default_audit_interval()
@@ -162,8 +192,8 @@ class Engine {
   static int current_shard() noexcept;
 
   /// Monotone index of the lookahead window the calling thread is currently
-  /// dispatching. 0 outside dispatch and in serial (shards == 1) mode —
-  /// there a single ordering domain makes window attribution meaningless.
+  /// dispatching. 0 outside dispatch and in the serial engine (no
+  /// lookahead), which has no windows to attribute accesses to.
   static std::uint64_t current_window() noexcept;
 
   /// Awaitable: suspend the current coroutine for `d` of virtual time.
@@ -198,21 +228,25 @@ class Engine {
   static constexpr int kSlotBits = 25;  ///< 32M outstanding events per kind
   static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
   static constexpr int kKeyShift = kSlotBits + 1;
-  /// Insertion sequences per busy period (the counter resets whenever the
-  /// heap drains, so this bound is per uninterrupted run, not per Engine).
-  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kKeyShift);
+  /// Insertion seqs and resolution ordinals per busy period (both counters
+  /// reset whenever the heaps drain, so this bound is per uninterrupted run,
+  /// not per Engine). The key's top bit separates the two classes.
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (63 - kKeyShift);
 
-  /// Test hook: forces a shard's insertion-seq counter so the overflow
-  /// guards can be exercised without dispatching 2^38 events. Never call
-  /// outside tests — a forged counter breaks tie-break ordering with any
-  /// events already in the heap.
+  /// Test hooks: force a shard's insertion-seq counter or the resolution
+  /// ordinal counter so the overflow guards can be exercised without
+  /// dispatching 2^37 events. Never call outside tests — a forged counter
+  /// breaks tie-break ordering with any events already in the heap.
   void set_next_seq_for_test(std::uint64_t seq, int shard = 0);
+  void set_next_ordinal_for_test(std::uint64_t ordinal) { next_ordinal_ = ordinal; }
 
  private:
-  /// 16-byte heap entry. `key` packs (seq << kKeyShift) | kind | slot: seq in
-  /// the high bits makes lexicographic (t, key) comparison reproduce the
-  /// documented (time, insertion-seq) dispatch order, while the low bits
-  /// locate the payload without a third word the sift would have to move.
+  /// 16-byte heap entry. `key` packs class | (seq << kKeyShift) | kind |
+  /// slot: the class bit (set for dispatch events, clear for hook events)
+  /// and the seq (insertion seq or resolution ordinal) in the high bits make
+  /// lexicographic (t, key) comparison reproduce the documented dispatch
+  /// order, while the low bits locate the payload without a third word the
+  /// sift would have to move.
   struct HeapEntry {
     Time t;
     std::uint64_t key;
@@ -220,6 +254,7 @@ class Engine {
   static_assert(sizeof(HeapEntry) == 16);
 
   static constexpr std::uint64_t kCallbackBit = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kDispatchClass = std::uint64_t{1} << 63;
 
   struct Root {
     Coro<void>::Handle handle{};
@@ -274,17 +309,23 @@ class Engine {
     Time now = 0;                  ///< last dispatched event time
     std::uint64_t next_seq = 0;    ///< local insertion-seq counter
     std::uint64_t events = 0;      ///< events dispatched by this shard
-    std::size_t max_depth = 0;     ///< heap high-water mark
     std::exception_ptr failure{};  ///< first escape from a window dispatch
   };
 
   void heap_push(Shard& s, Time t, std::uint64_t key);
   HeapEntry heap_pop(Shard& s);
-  std::uint64_t make_key(Shard& s, bool callback, std::uint32_t slot);
-  void push_event(Shard& s, Time t, bool callback, std::coroutine_handle<> h,
-                  std::function<void()> fn);
+  std::uint64_t make_key(Shard& s, std::uint64_t ordinal, bool callback,
+                         std::uint32_t slot);
+  /// Pushes an event keyed by `ordinal` (kNoOrdinal: a dispatch seq);
+  /// returns its payload slot.
+  std::uint32_t push_event(Shard& s, Time t, std::uint64_t ordinal, bool callback,
+                           std::coroutine_handle<> h, std::function<void()>&& fn);
+  void schedule_event(Time t, std::coroutine_handle<> h, std::function<void()>&& fn,
+                      int shard);
   int resolve_shard(int shard) const;
-  void dispatch_one(Shard& s);
+  /// Pops and runs the shard's next event; false when it was a cancelled
+  /// wake, which is dropped without touching the clock or the event count.
+  bool dispatch_one(Shard& s);
 
   /// One staged event's position in the window-close merge order.
   struct MergeRef {
@@ -311,7 +352,9 @@ class Engine {
 
   Time now_ = 0;             ///< engine-wide clock (window floor when sharded)
   Time window_end_ = 0;      ///< exclusive bound of the executing window
-  std::uint64_t window_seq_ = 0;  ///< windows opened (sharded mode; monotone)
+  std::uint64_t window_seq_ = 0;  ///< windows opened (monotone)
+  std::uint64_t next_ordinal_ = 0;  ///< global resolution ordinal counter
+  bool in_hooks_ = false;  ///< close_window() is running the window hooks
   std::uint64_t gated_windows_ = 0;  ///< windows run through the worker gate
   ShardingConfig sharding_{};
   std::vector<Shard> shards_;  ///< always >= 1; shard 0 is the serial heap

@@ -5,12 +5,12 @@
 #include <stdexcept>
 #include <string>
 
+#include "check/check.hpp"
 #include "obs/collector.hpp"
 
 namespace dvx::vic {
 
-GroupCounter::GroupCounter(sim::Engine& engine, int node)
-    : engine_(engine), cond_(engine) {
+GroupCounter::GroupCounter(sim::Engine& engine, int node) : engine_(engine) {
   if (obs::Registry* m = obs::metrics()) {
     const obs::Labels labels{{"node", std::to_string(node)}};
     obs_waits_ = m->counter("vic.counter.waits", labels);
@@ -22,11 +22,7 @@ GroupCounter::GroupCounter(sim::Engine& engine, int node)
 void GroupCounter::set(sim::Time at, std::uint64_t v) {
   value_ = v;
   settle_ = std::max(settle_, std::max(at, engine_.now()));
-  // Waiters re-evaluate immediately; they sleep towards the settle time.
-  // Windowed engines mutate counters from the window-close resolution (clock
-  // at the window floor, behind the waiters' shards), so the notify carries
-  // the physical settle time instead.
-  cond_.notify_all(engine_.sharding().windowed ? settle_ : engine_.now());
+  changed();
 }
 
 void GroupCounter::decrement(sim::Time at_last, std::uint64_t n) {
@@ -41,8 +37,47 @@ void GroupCounter::decrement(sim::Time at_last, std::uint64_t n) {
   lost_ += n - applied;
   value_ -= applied;
   settle_ = std::max(settle_, std::max(at_last, engine_.now()));
-  cond_.notify_all(engine_.sharding().windowed ? settle_ : engine_.now());
+  changed();
 }
+
+void GroupCounter::changed() {
+  state_ord_ = engine_.in_window() ? sim::Engine::kNoOrdinal : engine_.take_ordinal();
+  if (waiter_) arm_zero_wake();
+}
+
+void GroupCounter::arm_zero_wake() {
+  engine_.cancel_wake(zero_wake_);
+  if (value_ == 0) {
+    zero_wake_ = engine_.schedule_wake(settle_, state_ord_, waiter_, waiter_shard_);
+  }
+}
+
+/// Parks the waiter until its zero wake or its deadline fires, whichever
+/// comes first; the other is cancelled on resume.
+struct GroupCounter::Park {
+  GroupCounter& counter;
+  sim::Time deadline;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    GroupCounter& c = counter;
+    DVX_CHECK(!c.waiter_) << "group counter supports one waiter";
+    c.waiter_ = h;
+    c.waiter_shard_ = sim::Engine::current_shard();
+    c.arm_zero_wake();
+    if (deadline != std::numeric_limits<sim::Time>::max()) {
+      c.deadline_wake_ = c.engine_.schedule_wake(deadline, sim::Engine::kNoOrdinal, h,
+                                                 c.waiter_shard_);
+    }
+  }
+  void await_resume() const noexcept {
+    // The wake that fired has freed its slot and not yet handed it on, so
+    // cancelling both is safe.
+    GroupCounter& c = counter;
+    c.engine_.cancel_wake(c.zero_wake_);
+    c.engine_.cancel_wake(c.deadline_wake_);
+    c.waiter_ = {};
+  }
+};
 
 sim::Coro<bool> GroupCounter::wait_zero(sim::Duration timeout) {
   const sim::Time begin = engine_.now();
@@ -64,14 +99,7 @@ sim::Coro<bool> GroupCounter::wait_zero(sim::Duration timeout) {
       }
       co_return false;
     }
-    const sim::Time target = value_ == 0 ? std::min(settle_, deadline) : deadline;
-    if (target == std::numeric_limits<sim::Time>::max()) {
-      // No finite wake-up target: a timed wait would park a far-future event
-      // in the queue and drag the final engine clock out to it.
-      co_await cond_.wait();
-    } else {
-      co_await cond_.wait_until(target);
-    }
+    co_await Park{*this, deadline};
   }
 }
 

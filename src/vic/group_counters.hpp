@@ -15,14 +15,19 @@
 // to zero. Decrementing a counter already at zero reproduces the documented
 // hardware hazard ("the initial packet arrival is lost"): the decrement is
 // dropped and counted in lost_decrements().
+//
+// Fabric operations are applied at window close, possibly before their
+// effective time, so a waiter is woken by one re-armable engine wake at the
+// settle time, keyed by the resolution ordinal of the operation that brought
+// the counter to its current state (DESIGN.md §15.1).
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -50,7 +55,8 @@ class GroupCounter {
   void decrement(sim::Time at_last, std::uint64_t n = 1);
 
   /// Waits until the counter settles at zero. `timeout` < 0 waits forever.
-  /// Returns true on zero, false on timeout (mirrors the dvapi call).
+  /// Returns true on zero, false on timeout (mirrors the dvapi call). One
+  /// waiter at a time: the owning rank.
   sim::Coro<bool> wait_zero(sim::Duration timeout = -1);
 
   std::uint64_t value() const noexcept { return value_; }
@@ -58,8 +64,13 @@ class GroupCounter {
   std::uint64_t lost_decrements() const noexcept { return lost_; }
 
  private:
+  struct Park;
+
+  /// Records a state change and re-arms the waiter's zero wake for it.
+  void changed();
+  void arm_zero_wake();
+
   sim::Engine& engine_;
-  sim::Condition cond_;
   // obs instrumentation (null when nothing collects): completed waits, time
   // spent blocked in wait_zero, and waits that timed out.
   obs::Counter* obs_waits_ = nullptr;
@@ -68,6 +79,15 @@ class GroupCounter {
   std::uint64_t value_ = 0;
   sim::Time settle_ = 0;
   std::uint64_t lost_ = 0;
+  /// Resolution ordinal of the last state change (kNoOrdinal when it was
+  /// made inside a window, by the owning rank itself).
+  std::uint64_t state_ord_ = sim::Engine::kNoOrdinal;
+  // The waiter, its shard, and its two wakes: at the settle time while the
+  // counter is zero, and at the wait's deadline.
+  std::coroutine_handle<> waiter_{};
+  int waiter_shard_ = -1;
+  sim::Engine::WakeRef zero_wake_{};
+  sim::Engine::WakeRef deadline_wake_{};
 };
 
 /// The 64-counter file of one VIC.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <stdexcept>
 
 #include "analyze/shard_access.hpp"
@@ -60,36 +61,25 @@ DvFabric::DvFabric(sim::Engine& engine, int nodes, DvFabricParams params)
           fp.geometry = dvnet::Geometry::for_ports(nodes, fp.geometry.angles);
         }
         return fp;
-      }()),
-      barrier_cond_(engine) {
+      }()) {
   if (nodes <= 0) throw std::invalid_argument("DvFabric: need at least one node");
-  vics_.reserve(static_cast<std::size_t>(nodes));
+  const auto n = static_cast<std::size_t>(nodes);
+  vics_.reserve(n);
+  barrier_conds_.reserve(n);
   for (int i = 0; i < nodes; ++i) {
     vics_.push_back(std::make_unique<Vic>(engine, *this, i, params.vic));
+    barrier_conds_.push_back(std::make_unique<sim::Condition>(engine_));
   }
+  staged_.resize(n);
+  barrier_staged_.resize(n);
+  stage_seq_.assign(n, 0);
   engine_.add_auditor(this);
+  engine_.add_window_hook(this, [this] { resolve_window(); });
 }
 
 DvFabric::~DvFabric() {
   engine_.remove_auditor(this);
-  if (windowed_) engine_.remove_window_hook(this);
-}
-
-// dvx-analyze: allow(shard-partitioned) -- config-time, before any rank runs
-void DvFabric::configure_partition(int shards) {
-  DVX_CHECK(shards >= 1) << "partition needs at least one shard";
-  DVX_CHECK(engine_.sharding().windowed)
-      << "DvFabric::configure_partition requires a windowed engine";
-  windowed_ = true;
-  staged_.assign(static_cast<std::size_t>(shards), {});
-  barrier_staged_.assign(static_cast<std::size_t>(shards), {});
-  stage_seq_.assign(static_cast<std::size_t>(nodes()), 0);
-  barrier_conds_.clear();
-  barrier_conds_.reserve(static_cast<std::size_t>(nodes()));
-  for (int i = 0; i < nodes(); ++i) {
-    barrier_conds_.push_back(std::make_unique<sim::Condition>(engine_));
-  }
-  engine_.add_window_hook(this, [this] { resolve_window(); });
+  engine_.remove_window_hook(this);
 }
 
 void DvFabric::audit(std::int64_t now_ps) {
@@ -100,44 +90,39 @@ void DvFabric::audit(std::int64_t now_ps) {
   for (const auto& v : vics_) {
     const check::ScopedNode check_node(v->id());
     const SurpriseFifo& fifo = v->fifo();
-    DVX_CHECK(fifo.buffered() <= fifo.capacity()) << "FIFO over capacity";
-    DVX_CHECK_EQ(fifo.total_deposited(), fifo.total_drained() + fifo.buffered())
+    DVX_CHECK_EQ(fifo.total_deposited(),
+                 fifo.total_drained() + fifo.dropped() + fifo.buffered())
         << "surprise FIFO lost packets. ";
   }
 }
 
-dvnet::BurstTiming DvFabric::transmit(int src, std::span<const Packet> packets,
-                                      sim::Time ready) {
-  if (packets.empty()) return dvnet::BurstTiming{ready, ready};
-  if (windowed_) {
-    if (resolving_) {
-      // A query reply emitted while the resolution replays deliveries: defer
-      // it to the in-resolution fixpoint queue (its ready time is already a
-      // physical arrival >= the closing window's end).
-      resolve_pending_.push_back(StagedBurst{
-          ready, src, 0, std::vector<Packet>(packets.begin(), packets.end())});
-      return dvnet::BurstTiming{ready, ready};
-    }
-    // Rank context: stage into the calling shard's ledger. Each src rank is
-    // dispatched by exactly one shard, so the per-src seq counter and the
-    // ledger slot are both single-writer.
-    DVX_SHARD_ACCESS("vic.DvFabric", src, kWrite);
-    const int cur = sim::Engine::current_shard();
-    auto& box = staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)];
-    box.push_back(
-        StagedBurst{ready, src, stage_seq_[static_cast<std::size_t>(src)]++,
-                    std::vector<Packet>(packets.begin(), packets.end())});
-    return dvnet::BurstTiming{ready, ready};
+void DvFabric::transmit(int src, std::span<const Packet> packets, sim::Time ready) {
+  if (packets.empty()) return;
+  if (resolving_) {
+    // A query reply emitted while the resolution replays a delivery: it
+    // enters the switch right away, exactly where the query's delivery sits
+    // in the replay order.
+    transmit_now(src, packets, ready);
+    return;
   }
-  return transmit_now(src, packets, ready);
+  // Rank context: stage into the calling shard's ledger. Each src rank is
+  // dispatched by exactly one shard, so the ledger and the per-src seq
+  // counter are single-writer.
+  DVX_SHARD_ACCESS("vic.DvFabric", src, kWrite);
+  staged_[ledger()].push_back(
+      StagedBurst{engine_.now(), ready, src, stage_seq_[static_cast<std::size_t>(src)]++,
+                  std::vector<Packet>(packets.begin(), packets.end())});
 }
 
-dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Packet> packets,
-                                          sim::Time ready) {
+std::size_t DvFabric::ledger() const {
+  const int cur = sim::Engine::current_shard();
+  DVX_CHECK(cur < nodes()) << "engine has more shards than the fabric has nodes";
+  return static_cast<std::size_t>(cur < 0 ? 0 : cur);
+}
+
+void DvFabric::transmit_now(int src, std::span<const Packet> packets,
+                            sim::Time ready) {
   DVX_SHARD_GUARDED("vic.DvFabric", -1);
-  if (packets.empty()) return dvnet::BurstTiming{ready, ready};
-  dvnet::BurstTiming whole{0, 0};
-  bool first_run = true;
   std::size_t i = 0;
   while (i < packets.size()) {
     // Coalesce a run of packets to the same destination into one burst.
@@ -146,11 +131,6 @@ dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Packet> packe
     while (j < packets.size() && packets[j].header.dst_vic == dst) ++j;
     const auto n = static_cast<std::int64_t>(j - i);
     const auto timing = model_.send_burst(src, dst, n, ready);
-    if (first_run) {
-      whole.first_arrival = timing.first_arrival;
-      first_run = false;
-    }
-    whole.last_arrival = std::max(whole.last_arrival, timing.last_arrival);
 
     // Apply per-packet effects; arrival times interpolated across the run.
     Vic& target = vic(dst);
@@ -164,66 +144,55 @@ dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Packet> packe
     }
     i = j;
   }
-  return whole;
 }
 
 void DvFabric::resolve_window() {
   // Window-close resolution (coordinator thread, outside any shard context):
-  // replay every staged burst against the switch model in canonical
-  // (ready, src, per-src seq) order — a pure function of the window's
-  // simulation content, identical at every shard layout and worker count.
-  std::vector<StagedBurst> batch;
-  for (auto& box : staged_) {
-    std::move(box.begin(), box.end(), std::back_inserter(batch));
-    box.clear();
+  // replay every staged burst against the switch model in (call time, src,
+  // per-src seq) order. Every call time of a window lies below its end and
+  // at or above the previous window's end, so the concatenated replays of
+  // consecutive windows are one global sort: the replay order, and with it
+  // every resolution ordinal, is the same at any window width.
+  const auto shards = static_cast<std::size_t>(std::min(engine_.shards(), nodes()));
+  for (std::size_t s = 0; s < shards; ++s) {
+    std::move(staged_[s].begin(), staged_[s].end(), std::back_inserter(batch_));
+    staged_[s].clear();
   }
-  if (!batch.empty()) {
-    std::sort(batch.begin(), batch.end(),
+  if (!batch_.empty()) {
+    std::sort(batch_.begin(), batch_.end(),
               [](const StagedBurst& a, const StagedBurst& b) {
-                if (a.ready != b.ready) return a.ready < b.ready;
+                if (a.call != b.call) return a.call < b.call;
                 if (a.src != b.src) return a.src < b.src;
                 return a.seq < b.seq;
               });
     resolving_ = true;
-    for (const StagedBurst& b : batch) {
-      transmit_now(b.src, b.packets, b.ready);
-    }
-    // Fixpoint over query replies: delivering a kQuery packet re-transmits
-    // through the fabric; those bursts append to resolve_pending_ and are
-    // replayed in emission order (itself canonical) until none remain.
-    for (std::size_t i = 0; i < resolve_pending_.size(); ++i) {
-      const StagedBurst b = std::move(resolve_pending_[i]);
-      transmit_now(b.src, b.packets, b.ready);
-    }
-    resolve_pending_.clear();
+    for (const StagedBurst& b : batch_) transmit_now(b.src, b.packets, b.ready);
     resolving_ = false;
+    batch_.clear();
   }
-  resolve_barrier_arrivals();
+  resolve_barrier_arrivals(shards);
 }
 
-void DvFabric::resolve_barrier_arrivals() {
-  std::vector<BarrierArrival> arrivals;
-  for (auto& box : barrier_staged_) {
-    arrivals.insert(arrivals.end(), box.begin(), box.end());
-    box.clear();
+void DvFabric::resolve_barrier_arrivals(std::size_t shards) {
+  std::vector<std::pair<sim::Time, int>> arrivals;
+  for (std::size_t s = 0; s < shards; ++s) {
+    arrivals.insert(arrivals.end(), barrier_staged_[s].begin(), barrier_staged_[s].end());
+    barrier_staged_[s].clear();
   }
   if (arrivals.empty()) return;
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const BarrierArrival& a, const BarrierArrival& b) {
-              return a.at != b.at ? a.at < b.at : a.rank < b.rank;
-            });
-  for (const BarrierArrival& a : arrivals) {
+  std::sort(arrivals.begin(), arrivals.end());
+  for (const auto& [at, rank] : arrivals) {
     DVX_CHECK(barrier_arrived_ < nodes())
         << "barrier over-arrival in phase " << barrier_phase_;
-    barrier_latest_ = std::max(barrier_latest_, a.at);
+    barrier_latest_ = std::max(barrier_latest_, at);
     if (++barrier_arrived_ == nodes()) {
+      // Hardware completes the AND-tree: base cost plus a little per level.
       const int levels = std::bit_width(static_cast<unsigned>(nodes() - 1));
       sim::Time release = barrier_latest_ + params_.barrier_base +
                           static_cast<sim::Duration>(levels) * params_.barrier_per_level;
       // Defensive clamp: the release must not land behind any shard's clock.
-      // window_end() is layout-invariant, so the clamp (almost never active —
-      // the barrier base cost exceeds the fabric lookahead) cannot break the
-      // shards-1-vs-N identity.
+      // The barrier base cost exceeds any fabric lookahead, so it never
+      // binds and cannot make the release depend on the window width.
       release = std::max(release, engine_.window_end());
       barrier_arrived_ = 0;
       barrier_latest_ = 0;
@@ -234,42 +203,14 @@ void DvFabric::resolve_barrier_arrivals() {
 }
 
 sim::Coro<void> DvFabric::intrinsic_barrier(int rank) {
-  if (windowed_) {
-    // Stage the arrival in the calling shard's ledger; the VIC-side AND-tree
-    // completes at the window-close resolution, which computes the release
-    // time and wakes every rank through its own (rank-local) condition.
-    DVX_SHARD_ACCESS("vic.DvFabric", rank, kWrite);
-    const std::uint64_t my_phase = barrier_phase_;
-    const int cur = sim::Engine::current_shard();
-    barrier_staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)].push_back(
-        BarrierArrival{engine_.now(), rank});
-    sim::Condition& cond = *barrier_conds_[static_cast<std::size_t>(rank)];
-    while (barrier_phase_ == my_phase) co_await cond.wait();
-    DVX_CHECK(barrier_phase_ > my_phase) << "barrier phase went backwards";
-    co_return;
-  }
-  DVX_SHARD_GUARDED("vic.DvFabric", -1);
-  (void)rank;  // every VIC participates exactly once per phase
+  // Stage the arrival in the shard's ledger; the VIC-side AND-tree completes
+  // at the window-close resolution, which computes the release time and
+  // wakes every rank through its own (rank-local) condition.
+  DVX_SHARD_ACCESS("vic.DvFabric", rank, kWrite);
   const std::uint64_t my_phase = barrier_phase_;
-  // Barrier-epoch sanity: arrivals never exceed the party count within one
-  // phase, and the release time cannot precede the last arrival.
-  DVX_CHECK(barrier_arrived_ < nodes())
-      << "barrier over-arrival in phase " << barrier_phase_;
-  barrier_latest_ = std::max(barrier_latest_, engine_.now());
-  if (++barrier_arrived_ == nodes()) {
-    // Hardware completes the AND-tree: base cost plus a little per level.
-    const int levels = std::bit_width(static_cast<unsigned>(nodes() - 1));
-    const sim::Time release = barrier_latest_ + params_.barrier_base +
-                              static_cast<sim::Duration>(levels) * params_.barrier_per_level;
-    DVX_CHECK(release >= engine_.now()) << "barrier released into the past";
-    barrier_arrived_ = 0;
-    barrier_latest_ = 0;
-    ++barrier_phase_;
-    barrier_cond_.notify_all(release);
-    co_await engine_.resume_at(release);
-    co_return;
-  }
-  while (barrier_phase_ == my_phase) co_await barrier_cond_.wait();
+  barrier_staged_[ledger()].emplace_back(engine_.now(), rank);
+  sim::Condition& cond = *barrier_conds_[static_cast<std::size_t>(rank)];
+  while (barrier_phase_ == my_phase) co_await cond.wait();
   DVX_CHECK(barrier_phase_ > my_phase) << "barrier phase went backwards";
 }
 

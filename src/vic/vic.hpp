@@ -8,15 +8,17 @@
 // and moves packets between them.
 //
 // Data-vs-time convention: packet *data effects* (DV-memory writes, counter
-// sets) are applied eagerly when the sender transmits, while their *timing*
-// is carried by arrival times on group counters and the FIFO. A conforming
-// Data Vortex program only reads data after synchronizing on a counter,
-// barrier, or FIFO arrival, so the early visibility is unobservable; it is
-// what lets the simulator move bursts in O(1) instead of per-packet events.
+// sets) are applied eagerly when the window that transmitted them closes,
+// while their *timing* is carried by arrival times on group counters and the
+// FIFO. A conforming Data Vortex program only reads data after synchronizing
+// on a counter, barrier, or FIFO arrival, so the early visibility is
+// unobservable; it is what lets the simulator move bursts in O(1) instead of
+// per-packet events.
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "check/audit.hpp"
@@ -81,13 +83,13 @@ struct DvFabricParams {
 
 /// The whole Data Vortex side of the cluster: one switch + N VICs.
 ///
-/// Partitioned operation (DESIGN.md §15): configure_partition() switches the
-/// fabric into windowed mode, where rank-context transmits and barrier
-/// arrivals are staged into per-shard ledgers and resolved at the engine's
-/// window barrier in canonical (ready, src, per-src seq) order — the shared
-/// switch model and the destination VICs are then only ever mutated on the
-/// single resolution thread, making `shards > 1` legal with byte-identical
-/// output at any shard count.
+/// Partitioned operation (DESIGN.md §15): transmits and barrier arrivals are
+/// staged into per-shard ledgers and resolved when the engine closes a window,
+/// in canonical (call time, src, per-src seq) order. The shared switch model
+/// and the destination VICs are only ever mutated on the single resolution
+/// thread, and the replay order is the same at any window width, shard count
+/// or worker count. The engine must window (a positive lookahead, e.g.
+/// min_remote_latency()) before it runs.
 // dvx-analyze: shard-partitioned
 class DvFabric : public check::InvariantAuditor {
  public:
@@ -102,26 +104,15 @@ class DvFabric : public check::InvariantAuditor {
 
   /// Injects a batch of packets from `src`'s VIC, already resident on the
   /// card, first word able to enter the switch at `ready`. Consecutive
-  /// packets to the same destination share one fabric burst. Returns the
-  /// (first, last) ejection times of the whole batch. In windowed-partition
-  /// mode the burst is staged for the window-close resolution instead and
-  /// the returned timing is the placeholder (ready, ready) — no caller
-  /// consumes it (senders are paced by their PCIe/DMA hand-off times).
-  dvnet::BurstTiming transmit(int src, std::span<const Packet> packets,
-                              sim::Time ready);
-
-  /// Switches the fabric into windowed-partition mode for `shards` engine
-  /// shards. Call after Engine::configure_sharding({.windowed = true}) and
-  /// before any traffic; registers the window-close resolution hook with the
-  /// engine. Staged operations resolve in (ready, src, per-src seq) order,
-  /// which is a pure function of the simulation content — never of the
-  /// shard layout or worker count.
-  void configure_partition(int shards);
-  bool windowed() const noexcept { return windowed_; }
+  /// packets to the same destination share one fabric burst. The batch is
+  /// staged and reaches the switch when the current window closes; senders
+  /// are paced by their PCIe/DMA hand-off times, not by the fabric.
+  void transmit(int src, std::span<const Packet> packets, sim::Time ready);
 
   /// Hardware barrier built on the two reserved counters: rank's VIC arrives
   /// at the current virtual time; resumes when every VIC has arrived plus
-  /// the (small, log-depth) hardware latency.
+  /// the (small, log-depth) hardware latency. The AND-tree completes at the
+  /// window close that sees the last arrival.
   sim::Coro<void> intrinsic_barrier(int rank);
 
   /// Conservative lower bound on remote delivery latency, the DV analogue
@@ -140,42 +131,39 @@ class DvFabric : public check::InvariantAuditor {
   void audit(std::int64_t now_ps) override;
 
  private:
-  /// One rank-context injection parked in its shard's ledger until the
-  /// window-close resolution replays it against the switch model.
+  /// One injection parked in its shard's ledger until the window-close
+  /// resolution replays it against the switch model.
   struct StagedBurst {
+    sim::Time call;   ///< engine time of the transmit call
     sim::Time ready;
     int src;
     std::uint64_t seq;  ///< per-src monotone stage order
     std::vector<Packet> packets;  ///< owned copy: caller spans die early
   };
-  struct BarrierArrival {
-    sim::Time at;
-    int rank;
-  };
-
-  dvnet::BurstTiming transmit_now(int src, std::span<const Packet> packets,
-                                  sim::Time ready);
+  void transmit_now(int src, std::span<const Packet> packets, sim::Time ready);
+  /// Index of the calling shard's ledger.
+  std::size_t ledger() const;
   void resolve_window();
-  void resolve_barrier_arrivals();
+  void resolve_barrier_arrivals(std::size_t shards);
 
   sim::Engine& engine_;
   DvFabricParams params_;
   dvnet::FabricModel model_;
   std::vector<std::unique_ptr<Vic>> vics_;
 
-  // Intrinsic barrier bookkeeping.
-  sim::Condition barrier_cond_;
+  // Intrinsic barrier bookkeeping (resolution thread only).
   int barrier_arrived_ = 0;
   std::uint64_t barrier_phase_ = 0;
   sim::Time barrier_latest_ = 0;
 
-  // Windowed-partition state (empty/false outside partition mode).
-  bool windowed_ = false;
   bool resolving_ = false;  ///< inside resolve_window (query replies re-enter)
-  std::vector<std::vector<StagedBurst>> staged_;          ///< per shard
-  std::vector<std::vector<BarrierArrival>> barrier_staged_;  ///< per shard
-  std::vector<std::uint64_t> stage_seq_;                  ///< per src rank
-  std::vector<StagedBurst> resolve_pending_;  ///< replies emitted mid-resolve
+  // Per-shard ledgers, one per node since a cluster never runs more shards
+  // than nodes: each is written only by its shard and drained by the
+  // resolution thread, which visits only the engine's shards.
+  std::vector<std::vector<StagedBurst>> staged_;
+  std::vector<std::vector<std::pair<sim::Time, int>>> barrier_staged_;  ///< (at, rank)
+  std::vector<std::uint64_t> stage_seq_;  ///< per src rank
+  std::vector<StagedBurst> batch_;  ///< reused resolution buffer
   /// Per-rank barrier conditions: each is touched only by its own rank's
   /// coroutine (in-window) and the resolution thread (at the barrier), so no
   /// two shards ever mutate one concurrently.

@@ -26,6 +26,7 @@ template <typename Body>
 sim::Time run_nodes(int nodes, Body body, vic::DvFabricParams params = {}) {
   Engine engine;
   vic::DvFabric fabric(engine, nodes, params);
+  engine.configure_sharding({.lookahead = fabric.min_remote_latency()});
   std::deque<dvapi::DvContext> ctxs;
   for (int r = 0; r < nodes; ++r) ctxs.emplace_back(engine, fabric, r);
   for (int r = 0; r < nodes; ++r) {

@@ -5,14 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 
 #include "exp/driver.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/workload.hpp"
+#include "runtime/cluster.hpp"
 #include "json_lite.hpp"
 
 namespace exp = dvx::exp;
@@ -321,6 +327,58 @@ TEST(Parallel, JobsLevelDoesNotChangeJsonOrTables) {
   EXPECT_TRUE(is_valid_json(parallel.first));
   // The root seed is echoed at document level.
   EXPECT_NE(parallel.first.find("\"seed\": 1234"), std::string::npos);
+}
+
+/// Every file a run wrote into `dir`, by name.
+std::map<std::string, std::string> read_outputs(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    out[entry.path().filename().string()] = slurp(entry.path().string());
+  }
+  return out;
+}
+
+/// A metrics snapshot without the engine's window count and lookahead,
+/// which describe the execution rather than the model.
+std::string model_metrics(const std::string& snapshot) {
+  static const std::regex execution(
+      R"re(\n    \{\n      "name": "sim\.engine\.(windows|lookahead_ps)"[\s\S]*?\n    \},?)re");
+  return std::regex_replace(snapshot, execution, "");
+}
+
+TEST(Parallel, LookaheadShrinkDoesNotChangeAnyOutput) {
+  // The window width is an execution setting like --jobs: halving every
+  // cluster run's lookahead must leave the documents, tables, metrics and
+  // traces of all fast workloads byte-identical.
+  const auto root = std::filesystem::path(::testing::TempDir()) /
+                    ("dvx_lookahead_shrink_" + std::to_string(::getpid()));
+  std::map<int, std::map<std::string, std::string>> out;  // divisor -> name -> text
+  for (const int divisor : {1, 2}) {
+    const auto dir = root / std::to_string(divisor);
+    std::ostringstream tables;
+    exp::RunOptions opt;
+    opt.fast = true;
+    opt.out = &tables;
+    opt.metrics_dir = (dir / "metrics").string();
+    opt.trace_dir = (dir / "traces").string();
+    dvx::runtime::ResultSink sink;
+    sink.fast = opt.fast;
+    dvx::runtime::set_lookahead_divisor_for_test(divisor);
+    EXPECT_EQ(exp::run_workloads(exp::Registry::instance().all(), opt, 4, sink), 0);
+    dvx::runtime::set_lookahead_divisor_for_test(1);
+    auto& files = out[divisor];
+    files = read_outputs(dir / "metrics");
+    for (auto& [name, text] : files) text = model_metrics(text);
+    files.merge(read_outputs(dir / "traces"));
+    files["bench.json"] = sink.to_json().dump(2);
+    files["tables"] = tables.str();
+  }
+  std::filesystem::remove_all(root);
+  EXPECT_EQ(exp::Registry::instance().all().size(), 11u);
+  EXPECT_GT(out[1].size(), 100u);  // metrics and traces of every point
+  ASSERT_EQ(out[1].size(), out[2].size());
+  // EXPECT_TRUE, not EXPECT_EQ: a diff of two large documents is costly.
+  for (const auto& [name, text] : out[1]) EXPECT_TRUE(text == out[2].at(name)) << name;
 }
 
 /// Two points; the 2-node one throws during execution.

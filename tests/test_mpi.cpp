@@ -90,7 +90,9 @@ TEST(IbFabric, RejectsBadNodes) {
 template <typename Body>
 sim::Time run_ranks(int n, Body body) {
   Engine engine;
-  mpi::MpiWorld world(engine, std::make_unique<ib::Fabric>(n), n);
+  auto fabric = std::make_unique<ib::Fabric>(n);
+  engine.configure_sharding({.lookahead = fabric->lookahead()});
+  mpi::MpiWorld world(engine, std::move(fabric), n);
   for (int r = 0; r < n; ++r) engine.spawn(body(world.comm(r)));
   const auto t = engine.run();
   EXPECT_TRUE(engine.all_done()) << "a rank deadlocked";
@@ -175,6 +177,30 @@ TEST(MiniMpi, RendezvousUnexpectedRtsThenLateRecv) {
       EXPECT_EQ(msg.data.front(), 42u);
     }
   });
+}
+
+TEST(MiniMpi, RendezvousSenderCompletesAtLastArrival) {
+  // The payload transfer is resolved at a window close, microseconds before
+  // its last byte lands. A sender polling its request must still not see it
+  // complete before the receiver holds the data.
+  sim::Time seen = -1;
+  sim::Time done_at = -1;
+  sim::Time received = -1;
+  run_ranks(2, [&](mpi::Comm comm) -> Coro<void> {
+    if (comm.rank() == 0) {
+      auto req = comm.isend(1, 4, std::vector<std::uint64_t>(4096, 7));  // 32 KB
+      while (!req->done) co_await comm.engine().delay(sim::ns(5));
+      seen = comm.engine().now();
+      done_at = req->done_at;
+    } else {
+      auto msg = co_await comm.recv(0, 4);
+      EXPECT_EQ(msg.data.size(), 4096u);
+      received = comm.engine().now();
+    }
+  });
+  EXPECT_GT(received, 0);
+  EXPECT_EQ(done_at, received);
+  EXPECT_GE(seen, received);
 }
 
 TEST(MiniMpi, IsendIrecvOverlap) {

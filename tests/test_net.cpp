@@ -280,7 +280,9 @@ TEST(NetSeam, LookaheadBoundsAreConservative) {
 
 TEST(NetSeam, MiniMpiRunsOverTorus) {
   sim::Engine engine;
-  mpi::MpiWorld world(engine, std::make_unique<torus::Fabric>(8), 8);
+  auto fabric = std::make_unique<torus::Fabric>(8);
+  engine.configure_sharding({.lookahead = fabric->lookahead()});
+  mpi::MpiWorld world(engine, std::move(fabric), 8);
   for (int r = 0; r < 8; ++r) {
     engine.spawn([](mpi::Comm comm) -> sim::Coro<void> {
       const int n = comm.size();

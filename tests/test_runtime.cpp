@@ -113,7 +113,6 @@ TEST(Cluster, ResolveShardingWindowsEveryPositiveLookahead) {
   cfg.nodes = 8;
   cfg.engine_threads = 4;
   const auto plan = runtime::Cluster::resolve_sharding(cfg, sim::ns(10));
-  EXPECT_TRUE(plan.windowed);
   EXPECT_EQ(plan.shards, 4);
   EXPECT_EQ(plan.threads, 4);
   EXPECT_EQ(plan.lookahead, sim::ns(10));
@@ -123,7 +122,7 @@ TEST(Cluster, ResolveShardingWindowsEveryPositiveLookahead) {
   // Zero lookahead cannot window; the run stays serial on one shard.
   cfg.engine_threads = 4;
   const auto serial = runtime::Cluster::resolve_sharding(cfg, 0);
-  EXPECT_FALSE(serial.windowed);
+  EXPECT_EQ(serial.lookahead, 0);
   EXPECT_EQ(serial.shards, 1);
 }
 

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <coroutine>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -90,6 +91,36 @@ TEST(Engine, MakeKeyGuardsSeqExhaustion) {
   e.schedule(e.now() + sim::ns(1), [&] { ran = true; });
   e.run();
   EXPECT_TRUE(ran);
+  // The resolution ordinal counter is guarded the same way, both where it
+  // is drawn and where an ordinal is packed into a key.
+  e.set_next_ordinal_for_test(Engine::kMaxSeq - 1);
+  EXPECT_EQ(e.take_ordinal(), Engine::kMaxSeq - 1);
+  EXPECT_THROW(e.take_ordinal(), dvx::check::CheckError);
+  EXPECT_THROW(e.schedule_wake(e.now(), Engine::kMaxSeq, std::noop_coroutine()),
+               dvx::check::CheckError);
+  e.schedule(e.now() + sim::ns(1), [] {});
+  e.run();
+  EXPECT_EQ(e.take_ordinal(), 0u);  // the drain rewound it too
+}
+
+TEST(Engine, HookEventsFireBeforeDispatchEventsAtTheirTime) {
+  // An event scheduled during dispatch at t=0 for t=100 ns carries an older
+  // insertion seq than anything a window hook schedules later. The hook's
+  // events still fire first at 100 ns, in the order they were scheduled:
+  // where the window closed must not show in the order.
+  Engine e;
+  e.configure_sharding({.lookahead = sim::ns(10)});
+  std::vector<int> order;
+  e.schedule(0, [&] { e.schedule(sim::ns(100), [&] { order.push_back(3); }); });
+  bool hooked = false;
+  e.add_window_hook(&order, [&] {
+    if (std::exchange(hooked, true)) return;
+    e.schedule(sim::ns(100), [&] { order.push_back(1); });
+    e.schedule(sim::ns(100), [&] { order.push_back(2); });
+  });
+  e.run();
+  e.remove_window_hook(&order);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(ShardedEngine, ConfigValidation) {

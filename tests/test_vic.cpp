@@ -16,6 +16,12 @@ using sim::Engine;
 
 namespace {
 
+/// DvFabric resolves staged traffic at window close, so its tests run on a
+/// windowed engine, as cluster runs do.
+void make_windowed(Engine& e, const vic::DvFabric& f) {
+  e.configure_sharding({.lookahead = f.min_remote_latency()});
+}
+
 TEST(PacketCodec, RoundTripsRandomHeaders) {
   sim::Xoshiro256 rng(42);
   for (int i = 0; i < 1000; ++i) {
@@ -195,12 +201,49 @@ TEST(SurpriseFifo, PollOnlyReturnsVisiblePackets) {
 }
 
 TEST(SurpriseFifo, OverflowDropsAndCounts) {
+  // Overflow is decided in arrival order, not deposit order: the four
+  // earliest arrivals fit, the six later ones are dropped, wherever they
+  // sat among the deposits.
   Engine e;
   vic::SurpriseFifo fifo(e, 4);
-  for (int i = 0; i < 10; ++i) fifo.deposit(0, vic::Packet{{}, 0});
-  EXPECT_EQ(fifo.buffered(), 4u);
+  for (int i = 9; i >= 0; --i) {
+    fifo.deposit(sim::ns(i + 1), vic::Packet{{}, static_cast<std::uint64_t>(i)});
+  }
+  EXPECT_EQ(fifo.buffered(), 10u);
+  EXPECT_EQ(fifo.dropped(), 0u);
+  std::vector<std::uint64_t> got;
+  e.spawn([](Engine& eng, vic::SurpriseFifo& f, auto& out) -> Coro<void> {
+    co_await eng.delay(sim::ns(20));
+    for (const auto& p : f.poll()) out.push_back(p.payload);
+  }(e, fifo, got));
+  e.run();
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(fifo.buffered(), 0u);
   EXPECT_EQ(fifo.dropped(), 6u);
-  EXPECT_EQ(fifo.total_deposited(), 4u);
+  EXPECT_EQ(fifo.total_deposited(), 10u);
+  EXPECT_EQ(fifo.total_drained(), 4u);
+}
+
+TEST(SurpriseFifo, LaterDepositArrivingEarlierMovesTheWake) {
+  // The waiter parks with a packet due at 9 us; a deposit made later that
+  // arrives at 3 us must wake it at 3 us, not at 9.
+  Engine e;
+  vic::SurpriseFifo fifo(e, 16);
+  sim::Time woke = -1;
+  std::vector<std::uint64_t> got;
+  fifo.deposit(sim::us(9), vic::Packet{{}, 9});
+  e.spawn([](Engine& eng, vic::SurpriseFifo& f, sim::Time& t, auto& out) -> Coro<void> {
+    for (const auto& p : co_await f.wait_packets()) out.push_back(p.payload);
+    t = eng.now();
+  }(e, fifo, woke, got));
+  e.schedule(sim::us(1), [&fifo] { fifo.deposit(sim::us(3), vic::Packet{{}, 3}); });
+  EXPECT_EQ(e.run(), sim::us(3));
+  EXPECT_EQ(woke, sim::us(3));
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(fifo.buffered(), 1u);
+  // The wake armed for 9 us was cancelled, not dispatched: three events ran
+  // (the spawn, the deposit, the wake at 3 us).
+  EXPECT_EQ(e.events_processed(), 3u);
 }
 
 TEST(PcieLink, DirectionsAreIndependent) {
@@ -270,12 +313,16 @@ TEST(Dma, InAndOutOverlap) {
 TEST(DvFabric, MemoryPacketWritesRemoteWordAndDecrementsCounter) {
   Engine e;
   vic::DvFabric fabric(e, 4);
+  make_windowed(e, fabric);
   e.spawn([](Engine& eng, vic::DvFabric& f) -> Coro<void> {
     f.vic(2).counters().at(5).set(eng.now(), 1);
     vic::Packet p;
     p.header = vic::Header{2, vic::DestKind::kDvMemory, 5, 1234};
     p.payload = 777;
-    const auto t = f.transmit(0, std::span<const vic::Packet>(&p, 1), eng.now());
+    f.transmit(0, std::span<const vic::Packet>(&p, 1), eng.now());
+    // An idle switch: the word arrives when a fresh model says it would.
+    dvx::dvnet::FabricModel idle(f.model().params());
+    const auto t = idle.send_burst(0, 2, 1, eng.now());
     EXPECT_GT(t.first_arrival, eng.now());
     const bool ok = co_await f.vic(2).counters().at(5).wait_zero();
     EXPECT_TRUE(ok);
@@ -289,6 +336,7 @@ TEST(DvFabric, MemoryPacketWritesRemoteWordAndDecrementsCounter) {
 TEST(DvFabric, QueryTriggersHostFreeReply) {
   Engine e;
   vic::DvFabric fabric(e, 4);
+  make_windowed(e, fabric);
   e.spawn([](Engine& eng, vic::DvFabric& f) -> Coro<void> {
     f.vic(3).memory().write(50, 0xabcdef);
     // Query VIC 3, addr 50; reply goes to VIC 1's FIFO (not the sender!).
@@ -309,14 +357,28 @@ TEST(DvFabric, QueryTriggersHostFreeReply) {
 TEST(DvFabric, TransmitCoalescesRunsToSameDestination) {
   Engine e;
   vic::DvFabric fabric(e, 4);
+  make_windowed(e, fabric);
   std::vector<vic::Packet> batch;
   for (int i = 0; i < 100; ++i) {
-    batch.push_back(vic::Packet{vic::Header{1, vic::DestKind::kDvMemory, vic::kNoCounter,
+    batch.push_back(vic::Packet{vic::Header{1, vic::DestKind::kDvMemory, 5,
                                             static_cast<std::uint32_t>(i)},
                                 static_cast<std::uint64_t>(i)});
   }
-  const auto t = fabric.transmit(0, batch, 0);
-  // 100 words through one port: ~100 word-times end to end.
+  sim::Time last = -1;
+  e.spawn([](Engine& eng, vic::DvFabric& f, const auto& words,
+             sim::Time& out) -> Coro<void> {
+    f.vic(1).counters().at(5).set(eng.now(), words.size());
+    f.transmit(0, words, 0);
+    co_await f.vic(1).counters().at(5).wait_zero();
+    out = eng.now();
+  }(e, fabric, batch, last));
+  e.run();
+  // The run reached the switch as one burst: its last word lands exactly
+  // where a single 100-word burst on an idle switch lands, ~100 word-times
+  // after the first.
+  dvx::dvnet::FabricModel idle(fabric.model().params());
+  const auto t = idle.send_burst(0, 1, 100, 0);
+  EXPECT_EQ(last, t.last_arrival);
   const auto wt = fabric.model().word_time();
   EXPECT_GE(t.last_arrival - t.first_arrival, 99 * wt);
   EXPECT_LT(t.last_arrival, 120 * wt + fabric.model().base_latency());
@@ -330,6 +392,7 @@ TEST(DvFabric, IntrinsicBarrierIsNearlyFlatInNodeCount) {
   auto barrier_cost = [](int nodes) {
     Engine e;
     vic::DvFabric fabric(e, nodes);
+    make_windowed(e, fabric);
     for (int r = 0; r < nodes; ++r) {
       e.spawn([](vic::DvFabric& f, int rank) -> Coro<void> {
         co_await f.intrinsic_barrier(rank);
@@ -348,6 +411,7 @@ TEST(DvFabric, IntrinsicBarrierIsNearlyFlatInNodeCount) {
 TEST(DvFabric, BarrierIsReusableAcrossPhases) {
   Engine e;
   vic::DvFabric fabric(e, 3);
+  make_windowed(e, fabric);
   std::vector<sim::Time> done;
   for (int r = 0; r < 3; ++r) {
     e.spawn([](Engine& eng, vic::DvFabric& f, int rank, auto& out) -> Coro<void> {
