@@ -72,11 +72,13 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// DES dispatch throughput under a deep pending-event population: 2^20
-/// one-shot callbacks pre-loaded at seeded random times across a 1 ms
-/// window (the event heap stays ~10^6 entries deep through most of the
-/// run — the regime a large fabric simulation with many outstanding
+/// one-shot callbacks pre-loaded at seeded random times across 1 ms of
+/// virtual time (the event heap stays ~10^6 entries deep through most of
+/// the run — the regime a large fabric simulation with many outstanding
 /// packets puts the scheduler in), plus a handful of coroutine delay
-/// chains so the handle path is exercised too.
+/// chains so the handle path is exercised too. The engine is a default
+/// one, so the window loop every cluster run uses dispatches the whole
+/// storm as one window.
 BenchResult engine_event_storm() {
   constexpr std::uint64_t kBurst = 1 << 20;
   constexpr int kCoros = 16;

@@ -61,10 +61,9 @@ class Interconnect {
 
   /// Conservative lower bound on cross-node delivery latency: no message
   /// injected at time t may arrive at another node before t + lookahead().
-  /// A sharded sim::Engine uses this as its synchronization window width
-  /// (DESIGN.md §12), so the bound must be safe, not tight — 0 (the
-  /// default) means "no bound known" and forces serial execution.
-  virtual sim::Duration lookahead() const noexcept { return 0; }
+  /// The cluster's sim::Engine uses this as its window width (DESIGN.md
+  /// §12), so the bound must be safe, not tight, and positive.
+  virtual sim::Duration lookahead() const noexcept = 0;
 };
 
 }  // namespace dvx::net

@@ -146,15 +146,16 @@ ShardPlan apply_sharding(sim::Engine& engine, const ClusterConfig& config,
 
 ShardPlan Cluster::resolve_sharding(const ClusterConfig& config,
                                     sim::Duration lookahead) {
+  if (lookahead <= 0) {
+    throw std::invalid_argument("Cluster: the fabric gave no positive lookahead (" +
+                                std::to_string(lookahead) + " ps)");
+  }
   ShardPlan plan;
   plan.threads =
       config.engine_threads > 0 ? config.engine_threads : default_engine_threads();
-  plan.lookahead = lookahead;
-  if (lookahead > 0) {
-    const int divisor = g_lookahead_divisor.load(std::memory_order_relaxed);
-    plan.lookahead = std::max<sim::Duration>(1, lookahead / divisor);
-    plan.shards = std::min(plan.threads, config.nodes);
-  }
+  const int divisor = g_lookahead_divisor.load(std::memory_order_relaxed);
+  plan.lookahead = std::max<sim::Duration>(1, lookahead / divisor);
+  plan.shards = std::min(plan.threads, config.nodes);
   return plan;
 }
 

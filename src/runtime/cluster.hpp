@@ -94,11 +94,12 @@ class Cluster {
 
   /// The execution plan a cluster with this config uses for a fabric with
   /// the given conservative lookahead bound: threads from the config (else
-  /// the process default), shards = min(threads, nodes) when the bound is
-  /// positive, else one serial shard. The engine windows whenever the bound
-  /// is positive, at one shard too, and the fabric models resolve staged
-  /// work identically at any window width and shard count, so sweeps are
-  /// byte-identical across --engine-threads values (DESIGN.md §15).
+  /// the process default) and shards = min(threads, nodes). The engine
+  /// windows at one shard too, and the fabric models resolve staged work
+  /// identically at any window width and shard count, so sweeps are
+  /// byte-identical across --engine-threads values (DESIGN.md §15). Throws
+  /// std::invalid_argument for a non-positive bound: the fabric models'
+  /// window hooks cannot run without one.
   static ShardPlan resolve_sharding(const ClusterConfig& config,
                                     sim::Duration lookahead);
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -119,11 +120,13 @@ TEST(Cluster, ResolveShardingWindowsEveryPositiveLookahead) {
   // More threads than nodes: shards clamp to the node count.
   cfg.engine_threads = 64;
   EXPECT_EQ(runtime::Cluster::resolve_sharding(cfg, sim::ns(10)).shards, 8);
-  // Zero lookahead cannot window; the run stays serial on one shard.
-  cfg.engine_threads = 4;
-  const auto serial = runtime::Cluster::resolve_sharding(cfg, 0);
-  EXPECT_EQ(serial.lookahead, 0);
-  EXPECT_EQ(serial.shards, 1);
+  // Without a positive bound the fabric models' window hooks cannot run:
+  // the plan is refused up front, at any thread count.
+  for (const int threads : {1, 4}) {
+    cfg.engine_threads = threads;
+    EXPECT_THROW(runtime::Cluster::resolve_sharding(cfg, 0), std::invalid_argument);
+    EXPECT_THROW(runtime::Cluster::resolve_sharding(cfg, -1), std::invalid_argument);
+  }
 }
 
 // A small multi-rank exchange (compute, point-to-point, collectives) that

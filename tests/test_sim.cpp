@@ -103,6 +103,24 @@ TEST(Engine, MakeKeyGuardsSeqExhaustion) {
   EXPECT_EQ(e.take_ordinal(), 0u);  // the drain rewound it too
 }
 
+TEST(Engine, OrdinalsAreRefusedInsideDispatchOnEveryEngine) {
+  // Ordinals name window-close effects; a default engine (zero lookahead,
+  // one window per busy period) dispatches inside a window like any other.
+#if DVX_CHECK_LEVEL < 1
+  GTEST_SKIP() << "the ordinal guard is a DVX_CHECK, compiled out at level 0";
+#endif
+  Engine e;
+  bool inside = false;
+  e.schedule(sim::ns(1), [&] {
+    inside = e.in_window();
+    EXPECT_THROW(e.take_ordinal(), dvx::check::CheckError);
+  });
+  e.run();
+  EXPECT_TRUE(inside);
+  EXPECT_FALSE(e.in_window());
+  EXPECT_EQ(e.take_ordinal(), 0u);  // outside dispatch it is allowed
+}
+
 TEST(Engine, HookEventsFireBeforeDispatchEventsAtTheirTime) {
   // An event scheduled during dispatch at t=0 for t=100 ns carries an older
   // insertion seq than anything a window hook schedules later. The hook's
@@ -401,45 +419,6 @@ TEST(Mailbox, DeliversAtArrivalTimeInArrivalOrder) {
   EXPECT_EQ(got[0], std::make_pair(sim::ns(15), 2));
   EXPECT_EQ(got[1], std::make_pair(sim::ns(30), 1));
   EXPECT_EQ(got[2], std::make_pair(sim::ns(100), 3));
-}
-
-TEST(Semaphore, BlocksUntilRelease) {
-  Engine e;
-  sim::Semaphore sem(e, 0);
-  sim::Time acquired = -1;
-  e.spawn([](sim::Semaphore& s, Engine& eng, sim::Time& out) -> Coro<void> {
-    co_await s.acquire();
-    out = eng.now();
-  }(sem, e, acquired));
-  e.spawn([](sim::Semaphore& s, Engine& eng) -> Coro<void> {
-    co_await eng.delay(sim::ns(25));
-    s.release(eng.now());
-  }(sem, e));
-  e.run();
-  EXPECT_EQ(acquired, sim::ns(25));
-  EXPECT_EQ(sem.count(), 0);
-}
-
-TEST(PhaseBarrier, AllPartiesLeaveTogetherAndItIsReusable) {
-  Engine e;
-  constexpr int kParties = 5;
-  sim::PhaseBarrier bar(e, kParties);
-  std::vector<sim::Time> leave;
-  for (int i = 0; i < kParties; ++i) {
-    e.spawn([](sim::PhaseBarrier& b, Engine& eng, int id, auto& out) -> Coro<void> {
-      co_await eng.delay(sim::ns(10 * (id + 1)));
-      co_await b.arrive_and_wait();
-      out.push_back(eng.now());
-      co_await eng.delay(sim::ns(5 * (kParties - id)));
-      co_await b.arrive_and_wait();
-      out.push_back(eng.now());
-    }(bar, e, i, leave));
-  }
-  e.run();
-  ASSERT_EQ(leave.size(), 2u * kParties);
-  // First phase: everyone leaves at the slowest arrival (50 ns).
-  for (int i = 0; i < kParties; ++i) EXPECT_EQ(leave[i] % sim::ns(50), 0);
-  EXPECT_TRUE(e.all_done());
 }
 
 TEST(Rng, DeterministicAndUniform) {
